@@ -8,7 +8,7 @@ exact binomial performance oracle, and a seeded, reproducible Monte Carlo
 harness with a CSV-reporting command line front end (``ciindex``).
 """
 
-from .calibration import CalibrationResult, calibrate_level, calibrated_interval
+from .calibration import CalibrationResult, calibrate_level
 from .errors import CiindexError, ConfigError, DomainError, InsufficientDataError
 from .harness import (
     DESK_SCALE,
@@ -17,6 +17,7 @@ from .harness import (
     IndexSummary,
     ReplicationResult,
     SimulationPlan,
+    calibrated_interval,
     run_calibration_study,
     run_mean_study,
     run_proportion_study,
@@ -50,7 +51,6 @@ from .sampling import (
     DataModel,
     SeedSpec,
     binomial_model,
-    bootstrap_resample,
     draw_sample,
     lognormal_model,
     lognormal_skewness,
@@ -84,7 +84,6 @@ __all__ = [
     "bca_interval",
     "binomial_model",
     "bootstrap_percentile_interval",
-    "bootstrap_resample",
     "calibrate_level",
     "calibrated_interval",
     "compute_index",

@@ -12,10 +12,11 @@ Calibration is skipped, leaving ``beta = alpha``, when the caller supplies
 an empirical coverage estimate already within ``skip_delta`` of nominal;
 recalibrating an estimator that is on target only adds noise.
 
-:func:`calibrated_interval` re-issues a mean interval at the calibrated
-level.  For the bootstrap estimators it reuses the exact resample set that
-produced the calibration statistics, so calibrated and uncalibrated
-intervals from one seed differ only through the level.
+This module holds only the level rule.  The harness issues intervals at
+the calibrated level, both in the calibration study and through
+:func:`ciindex.harness.calibrated_interval`.  It takes the bootstrap
+estimators' resample means from the same seed as the level, so calibrated
+and uncalibrated intervals differ only through the level.
 """
 
 from __future__ import annotations
@@ -26,21 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError
-from .mean_intervals import (
-    MEAN_ESTIMATORS,
-    ConfidenceInterval,
-    bca_from_boot_means,
-    johnson_t_interval,
-    normal_theory_interval,
-    percentile_from_boot_means,
-)
-from .sampling import SeedSpec
+from .mean_intervals import _order_statistic
+from .sampling import SeedSpec, bootstrap_resamples
 from .special import normal_cdf_array
 
 __all__ = [
     "CalibrationResult",
     "calibrate_level",
-    "calibrated_interval",
 ]
 
 DEFAULT_SKIP_DELTA = 0.005
@@ -81,26 +74,6 @@ def _checked_sample(sample, alpha: float, B: int, skip_delta: float) -> np.ndarr
     return values
 
 
-def _should_skip(empirical_coverage: float | None, alpha: float, skip_delta: float) -> bool:
-    if empirical_coverage is not None and not 0.0 <= empirical_coverage <= 1.0:
-        raise DomainError(
-            f"empirical_coverage must lie in [0, 1], got {empirical_coverage!r}"
-        )
-    return (
-        empirical_coverage is not None
-        and abs(empirical_coverage - (1.0 - alpha)) <= skip_delta
-    )
-
-
-def _boot_mean_sd(values: np.ndarray, B: int, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:
-    # one (B, n) block; same stream layout as bootstrap_mean_draws, so the
-    # resample set is shared with the uncalibrated bootstrap intervals
-    rng = seed.generator()
-    idx = rng.integers(0, values.size, size=(B, values.size))
-    boot = values[idx]
-    return boot.mean(axis=1), boot.std(axis=1, ddof=1)
-
-
 def _lambdas(values: np.ndarray, means: np.ndarray, sds: np.ndarray) -> np.ndarray:
     # zero-sd resamples mean t is infinite, so their lambda is 0
     out = np.zeros(means.size)
@@ -111,10 +84,7 @@ def _lambdas(values: np.ndarray, means: np.ndarray, sds: np.ndarray) -> np.ndarr
 
 
 def _beta_from_lambdas(lambdas: np.ndarray, alpha: float) -> float:
-    B = lambdas.size
-    k = min(max(math.ceil(alpha * B), 1), B)
-    beta = float(np.sort(lambdas)[k - 1])
-    return max(beta, 1.0 / (2.0 * B))
+    return max(_order_statistic(np.sort(lambdas), alpha), 1.0 / (2.0 * lambdas.size))
 
 
 def calibrate_level(
@@ -136,48 +106,15 @@ def calibrate_level(
     ``[1/(2B), 0.5]``.
     """
     values = _checked_sample(sample, alpha, B, skip_delta)
-    if _should_skip(empirical_coverage, alpha, skip_delta):
-        return CalibrationResult(beta=alpha, lambdas=(), skipped=True)
-    means, sds = _boot_mean_sd(values, B, seed)
-    lam = _lambdas(values, means, sds)
+    if empirical_coverage is not None:
+        if not 0.0 <= empirical_coverage <= 1.0:
+            raise DomainError(f"empirical_coverage must lie in [0, 1], got {empirical_coverage!r}")
+        if abs(empirical_coverage - (1.0 - alpha)) <= skip_delta:
+            return CalibrationResult(beta=alpha, lambdas=(), skipped=True)
+    boot = bootstrap_resamples(values, B, seed)
+    lam = _lambdas(values, boot.mean(axis=1), boot.std(axis=1, ddof=1))
     return CalibrationResult(
         beta=_beta_from_lambdas(lam, alpha),
         lambdas=tuple(float(v) for v in lam),
         skipped=False,
     )
-
-
-def calibrated_interval(
-    kind: str,
-    sample,
-    alpha: float,
-    B: int,
-    seed: SeedSpec,
-    *,
-    empirical_coverage: float | None = None,
-    skip_delta: float = DEFAULT_SKIP_DELTA,
-) -> ConfidenceInterval:
-    """``kind``'s interval at the calibrated level.
-
-    A skipped calibration reproduces the uncalibrated interval exactly.
-    The bootstrap estimators are re-evaluated on the same resample means
-    used for calibration, so the only change is the working level.
-    """
-    if kind not in MEAN_ESTIMATORS:
-        raise DomainError(f"kind must be one of {MEAN_ESTIMATORS}, got {kind!r}")
-    values = _checked_sample(sample, alpha, B, skip_delta)
-
-    skip = _should_skip(empirical_coverage, alpha, skip_delta)
-    bootstrap_kind = kind in ("bootstrap_percentile", "bca")
-    means = sds = None
-    if bootstrap_kind or not skip:
-        means, sds = _boot_mean_sd(values, B, seed)
-    beta = alpha if skip else _beta_from_lambdas(_lambdas(values, means, sds), alpha)
-
-    if kind == "normal_theory":
-        return normal_theory_interval(values, beta)
-    if kind == "johnson_t":
-        return johnson_t_interval(values, beta)
-    if kind == "bootstrap_percentile":
-        return percentile_from_boot_means(means, beta)
-    return bca_from_boot_means(values, means, beta)

@@ -27,6 +27,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -229,22 +230,19 @@ def _build_model(parser: configparser.ConfigParser) -> DataModel:
     if not parser.has_section("model"):
         raise ConfigError("this mode needs a [model] section")
     kind = parser.get("model", "kind", fallback=None)
-    try:
-        if kind == "normal":
-            return normal_model(
-                _require(parser, "model", "mu", float), _require(parser, "model", "sigma2", float)
-            )
-        if kind == "lognormal":
-            return lognormal_model(
-                _require(parser, "model", "mu_log", float),
-                _require(parser, "model", "sigma2_log", float),
-            )
-        if kind == "binomial":
-            return binomial_model(
-                _require(parser, "model", "n_trials", int), _require(parser, "model", "p", float)
-            )
-    except CiindexError:
-        raise
+    if kind == "normal":
+        return normal_model(
+            _require(parser, "model", "mu", float), _require(parser, "model", "sigma2", float)
+        )
+    if kind == "lognormal":
+        return lognormal_model(
+            _require(parser, "model", "mu_log", float),
+            _require(parser, "model", "sigma2_log", float),
+        )
+    if kind == "binomial":
+        return binomial_model(
+            _require(parser, "model", "n_trials", int), _require(parser, "model", "p", float)
+        )
     raise ConfigError(f"[model] kind must be normal, lognormal, or binomial, got {kind!r}")
 
 
@@ -298,6 +296,9 @@ def _workers(eff: _Effective) -> int:
     value = _get_typed(eff.parser, "study", "workers", int, 1) if eff.parser.has_section("study") else 1
     if value < 1:
         raise ConfigError(f"[study] workers must be >= 1, got {value!r}")
+    cpus = os.cpu_count() or 1
+    if value > cpus:
+        raise ConfigError(f"[study] workers must be at most the CPU count ({cpus}), got {value!r}")
     return value
 
 
@@ -554,19 +555,26 @@ def _read_performance_csv(path: Path) -> tuple[list[str], list[ExternalPerforman
     return group_cols, rows
 
 
-def _run_apply(eff: _Effective) -> None:
-    in_path = _input_path(eff, "apply")
+def _score_input(eff: _Effective, section: str) -> tuple[list[str], list[ReportRow], str]:
+    """Read the ``[section] input`` CSV, score it, and write its metadata.
+
+    Returns the group columns, the scored rows, and the plan hash.
+    """
+    in_path = _input_path(eff, section)
     group_cols, rows = _read_performance_csv(in_path)
-    cfg = IndexConfig(eff.alpha, eff.loss, eff.rescaled)
-    report = apply_index(rows, cfg)
+    report = apply_index(rows, IndexConfig(eff.alpha, eff.loss, eff.rescaled))
     echo = {
-        "mode": "apply",
+        "mode": eff.mode,
         "alpha": eff.alpha,
         "loss": eff.loss,
         "rescaled": eff.rescaled,
         "input_sha256": hashlib.sha256(in_path.read_bytes()).hexdigest(),
     }
-    plan_hash = _write_metadata(eff.out_dir, echo)
+    return group_cols, report, _write_metadata(eff.out_dir, echo)
+
+
+def _run_apply(eff: _Effective) -> None:
+    group_cols, report, plan_hash = _score_input(eff, "apply")
     out_rows = [
         [row.estimator_label]
         + [value for _key, value in row.group_keys]
@@ -588,19 +596,7 @@ def _group_label(group_keys: tuple[tuple[str, str], ...]) -> str:
 
 
 def _run_plot_data(eff: _Effective) -> None:
-    in_path = _input_path(eff, "plot")
-    group_cols, rows = _read_performance_csv(in_path)
-    cfg = IndexConfig(eff.alpha, eff.loss, eff.rescaled)
-    report = apply_index(rows, cfg)
-    echo = {
-        "mode": "plot-data",
-        "alpha": eff.alpha,
-        "loss": eff.loss,
-        "rescaled": eff.rescaled,
-        "input_sha256": hashlib.sha256(in_path.read_bytes()).hexdigest(),
-    }
-    plan_hash = _write_metadata(eff.out_dir, echo)
-
+    _group_cols, report, plan_hash = _score_input(eff, "plot")
     groups: dict[tuple, list[ReportRow]] = {}
     for row in report:
         groups.setdefault(row.group_keys, []).append(row)

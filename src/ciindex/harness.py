@@ -7,7 +7,10 @@ Two study shapes:
   true mean plus the average length; repeat R times and summarize the R
   index values.  Bootstrap estimators draw their B resamples once per
   sample and share them (percentile and BCa see the same resample set, as
-  does calibration).
+  does calibration).  A calibration study is the same single pass: each
+  sample's resample set also gives its calibrated level beta, and every
+  estimator is issued at both alpha and beta.  The study-level skip rule
+  is applied afterwards to the results already in hand.
 * proportion study: draw R binomial counts, build one interval per
   estimator per distinct count, and report a single coverage/length/index
   triple per estimator, exactly comparable to the pmf-weighted oracle.
@@ -28,22 +31,24 @@ from functools import partial
 
 import numpy as np
 
-from .calibration import DEFAULT_SKIP_DELTA, _beta_from_lambdas, _lambdas
+from .calibration import DEFAULT_SKIP_DELTA, _beta_from_lambdas, _lambdas, calibrate_level
 from .errors import ConfigError, DomainError, InsufficientDataError
 from .index import IndexConfig, IntervalPerformance, compute_index
 from .mean_intervals import (
     MEAN_ESTIMATORS,
+    ConfidenceInterval,
     bca_from_boot_means,
+    bootstrap_mean_draws,
     johnson_t_interval,
     normal_theory_interval,
     percentile_from_boot_means,
 )
-from .proportion_intervals import (
+from .proportion_intervals import (  # noqa: F401 - proportion_interval stays importable here
     PROPORTION_ESTIMATORS,
-    BinomialObservation,
+    _weighted_outcomes,
     proportion_interval,
 )
-from .sampling import DataModel, SeedSpec, true_parameter
+from .sampling import DataModel, SeedSpec, bootstrap_resamples, true_parameter
 
 __all__ = [
     "DESK_SCALE",
@@ -52,6 +57,7 @@ __all__ = [
     "IndexSummary",
     "ReplicationResult",
     "SimulationPlan",
+    "calibrated_interval",
     "run_calibration_study",
     "run_mean_study",
     "run_proportion_study",
@@ -161,8 +167,9 @@ class CalibrationComparison:
     ``skipped`` records whether the study-level skip rule fired (the
     estimator's empirical coverage was already within ``skip_delta`` of
     nominal), in which case the calibrated results are the uncalibrated
-    ones unchanged and ``mean_beta`` is NaN.  Calibration reuses each
-    sample's bootstrap resample set rather than drawing a fresh one.
+    ones unchanged and ``mean_beta`` is NaN.  Both sides come from one
+    pass: each sample's single resample set feeds the bootstrap
+    estimators at alpha and at the sample's beta, and the beta itself.
     """
 
     estimator: str
@@ -210,14 +217,6 @@ def _draw_matrix(model: DataModel, N: int, n: int, seed: SeedSpec) -> np.ndarray
     raise ConfigError(f"no matrix draw for model kind {model.kind!r}")
 
 
-def _boot_stats(values: np.ndarray, B: int, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:
-    # same stream layout as bootstrap_mean_draws / calibration
-    rng = seed.generator()
-    idx = rng.integers(0, values.size, size=(B, values.size))
-    boot = values[idx]
-    return boot.mean(axis=1), boot.std(axis=1, ddof=1)
-
-
 def _issue_interval(kind: str, values: np.ndarray, alpha: float, boot_means):
     if kind == "normal_theory":
         return normal_theory_interval(values, alpha)
@@ -228,53 +227,78 @@ def _issue_interval(kind: str, values: np.ndarray, alpha: float, boot_means):
     return bca_from_boot_means(values, boot_means, alpha)
 
 
-def _uncal_replication(plan: SimulationPlan, r: int) -> dict[str, tuple[float, float]]:
-    """Coverage and mean length per estimator for replication ``r``."""
-    seed = SeedSpec(plan.master_seed)
-    matrix = _draw_matrix(plan.model, plan.N, plan.n, seed.child(1, r))
-    theta = true_parameter(plan.model)
-    needs_boot = any(e in _BOOTSTRAP_KINDS for e in plan.estimators)
+def calibrated_interval(
+    kind: str,
+    sample,
+    alpha: float,
+    B: int,
+    seed: SeedSpec,
+    *,
+    empirical_coverage: float | None = None,
+    skip_delta: float = DEFAULT_SKIP_DELTA,
+) -> ConfidenceInterval:
+    """``kind``'s interval at the level :func:`calibrate_level` gives.
 
-    covers = {e: 0 for e in plan.estimators}
-    lengths = {e: 0.0 for e in plan.estimators}
-    for i in range(plan.N):
-        values = matrix[i]
-        boot_means = None
-        if needs_boot:
-            boot_means, _ = _boot_stats(values, plan.B, seed.child(2, r, i))
-        for e in plan.estimators:
-            ci = _issue_interval(e, values, plan.alpha, boot_means)
-            covers[e] += ci.contains(theta)
-            lengths[e] += ci.length
-    return {e: (covers[e] / plan.N, lengths[e] / plan.N) for e in plan.estimators}
+    A skipped calibration reproduces the uncalibrated interval exactly.
+    The bootstrap estimators are re-evaluated on the resample means drawn
+    from the same ``seed`` as the level, so the only change is the working
+    level.
+    """
+    if kind not in MEAN_ESTIMATORS:
+        raise DomainError(f"kind must be one of {MEAN_ESTIMATORS}, got {kind!r}")
+    beta = calibrate_level(
+        sample, alpha, B, seed, empirical_coverage=empirical_coverage, skip_delta=skip_delta
+    ).beta
+    values = np.asarray(sample, dtype=float)
+    boot_means = bootstrap_mean_draws(values, B, seed) if kind in _BOOTSTRAP_KINDS else None
+    return _issue_interval(kind, values, beta, boot_means)
 
 
-def _cal_replication(
-    plan: SimulationPlan, to_calibrate: tuple[str, ...], r: int
-) -> tuple[dict[str, tuple[float, float]], float]:
-    """Calibrated coverage/length per estimator, plus the mean beta.
+def _replication(
+    plan: SimulationPlan, calibrate: bool, r: int
+) -> tuple[dict[str, tuple[float, float]], dict[str, tuple[float, float]], float]:
+    """Coverage and mean length per estimator for replication ``r``.
 
-    The per-sample beta comes from the same (2, r, i) resample stream the
-    bootstrap estimators use, and is shared by every estimator.
+    Returns the results at alpha, the results at each sample's calibrated
+    beta, and the mean beta; without ``calibrate`` the last two are empty
+    and NaN.  Each sample's (2, r, i) resample set is drawn once and
+    serves the bootstrap estimators at both levels as well as the beta,
+    which is shared by every estimator.
     """
     seed = SeedSpec(plan.master_seed)
     matrix = _draw_matrix(plan.model, plan.N, plan.n, seed.child(1, r))
     theta = true_parameter(plan.model)
+    needs_boot = calibrate or any(e in _BOOTSTRAP_KINDS for e in plan.estimators)
 
-    covers = {e: 0 for e in to_calibrate}
-    lengths = {e: 0.0 for e in to_calibrate}
+    tallies = [
+        ({e: 0 for e in plan.estimators}, {e: 0.0 for e in plan.estimators})
+        for _ in range(2 if calibrate else 1)
+    ]
     beta_total = 0.0
     for i in range(plan.N):
         values = matrix[i]
-        means, sds = _boot_stats(values, plan.B, seed.child(2, r, i))
-        beta = _beta_from_lambdas(_lambdas(values, means, sds), plan.alpha)
-        beta_total += beta
-        for e in to_calibrate:
-            ci = _issue_interval(e, values, beta, means)
-            covers[e] += ci.contains(theta)
-            lengths[e] += ci.length
-    per_estimator = {e: (covers[e] / plan.N, lengths[e] / plan.N) for e in to_calibrate}
-    return per_estimator, beta_total / plan.N
+        boot_means = None
+        levels = (plan.alpha,)
+        if needs_boot:
+            boot = bootstrap_resamples(values, plan.B, seed.child(2, r, i))
+            boot_means = boot.mean(axis=1)
+            if calibrate:
+                sds = boot.std(axis=1, ddof=1)
+                beta = _beta_from_lambdas(_lambdas(values, boot_means, sds), plan.alpha)
+                beta_total += beta
+                levels = (plan.alpha, beta)
+        for level, (covers, lengths) in zip(levels, tallies):
+            for e in plan.estimators:
+                ci = _issue_interval(e, values, level, boot_means)
+                covers[e] += ci.contains(theta)
+                lengths[e] += ci.length
+    per_level = [
+        {e: (covers[e] / plan.N, lengths[e] / plan.N) for e in plan.estimators}
+        for covers, lengths in tallies
+    ]
+    if calibrate:
+        return per_level[0], per_level[1], beta_total / plan.N
+    return per_level[0], {}, math.nan
 
 
 def _map_replications(fn, R: int, n_workers: int) -> list:
@@ -313,8 +337,8 @@ def run_mean_study(
     if plan.calibrate:
         comparison = run_calibration_study(plan, n_workers=n_workers)
         return {e: comparison[e].calibrated for e in plan.estimators}
-    raw = _map_replications(partial(_uncal_replication, plan), plan.R, n_workers)
-    return _collect(plan, raw, plan.estimators)
+    raw = _map_replications(partial(_replication, plan, False), plan.R, n_workers)
+    return _collect(plan, [at_alpha for at_alpha, _, _ in raw], plan.estimators)
 
 
 def run_calibration_study(
@@ -322,17 +346,18 @@ def run_calibration_study(
 ) -> dict[str, CalibrationComparison]:
     """Uncalibrated-versus-calibrated comparison for every estimator.
 
-    First scores the uncalibrated intervals, then applies the skip rule
-    per estimator at study level: estimators whose empirical coverage is
-    within ``plan.skip_delta`` of nominal keep their results unchanged;
-    the rest are re-issued at each sample's calibrated beta.
+    One pass over the streams issues every estimator at alpha and at each
+    sample's calibrated beta.  The skip rule is then applied per estimator
+    at study level: estimators whose empirical coverage is within
+    ``plan.skip_delta`` of nominal keep their uncalibrated results, and
+    their calibrated ones are dropped; the rest report the results at beta.
     """
     if plan.model.kind not in ("normal", "lognormal"):
         raise ConfigError("run_calibration_study requires a normal or lognormal model")
     if plan.B < 2:
         raise ConfigError("calibration requires B >= 2")
-    raw = _map_replications(partial(_uncal_replication, plan), plan.R, n_workers)
-    uncal = _collect(plan, raw, plan.estimators)
+    raw = _map_replications(partial(_replication, plan, True), plan.R, n_workers)
+    uncal = _collect(plan, [at_alpha for at_alpha, _, _ in raw], plan.estimators)
 
     coverage = {
         e: float(np.mean([res.coverage for res in uncal[e][0]])) for e in plan.estimators
@@ -341,24 +366,17 @@ def run_calibration_study(
         e for e in plan.estimators
         if abs(coverage[e] - (1.0 - plan.alpha)) > plan.skip_delta
     )
-
-    mean_beta = math.nan
-    cal = {e: uncal[e] for e in plan.estimators}
-    if to_calibrate:
-        cal_raw = _map_replications(
-            partial(_cal_replication, plan, to_calibrate), plan.R, n_workers
-        )
-        cal.update(_collect(plan, [rep for rep, _ in cal_raw], to_calibrate))
-        mean_beta = float(np.mean([b for _, b in cal_raw]))
+    cal = _collect(plan, [at_beta for _, at_beta, _ in raw], to_calibrate)
+    mean_beta = float(np.mean([beta for _, _, beta in raw]))
 
     return {
         e: CalibrationComparison(
             estimator=e,
             uncalibrated=uncal[e],
-            calibrated=cal[e],
-            skipped=e not in to_calibrate,
+            calibrated=cal.get(e, uncal[e]),
+            skipped=e not in cal,
             empirical_coverage=coverage[e],
-            mean_beta=mean_beta if e in to_calibrate else math.nan,
+            mean_beta=mean_beta if e in cal else math.nan,
         )
         for e in plan.estimators
     }
@@ -383,15 +401,7 @@ def run_proportion_study(plan: SimulationPlan) -> dict[str, ReplicationResult]:
     cfg = plan.index_config
     out = {}
     for e in plan.estimators:
-        cover = 0
-        length = 0.0
-        for x, w in enumerate(weights):
-            if w == 0:
-                continue
-            ci = proportion_interval(e, BinomialObservation(plan.model.n_trials, int(x)), plan.alpha)
-            if ci.contains(p):
-                cover += int(w)
-            length += int(w) * ci.length
+        cover, length = _weighted_outcomes(e, plan.model.n_trials, p, plan.alpha, weights.tolist())
         coverage = cover / plan.R
         mean_length = length / plan.R
         idx = compute_index(IntervalPerformance(coverage, mean_length), cfg)

@@ -88,24 +88,17 @@ def k_alpha(alpha: float) -> float:
     return (4.0 - 2.0 * alpha) / (3.0 - 2.0 * alpha)
 
 
-def _loss(eta: float, alpha: float, loss: str) -> float:
-    dev = 1.0 - alpha - eta
-    return abs(dev) if loss == "absolute" else dev * dev
-
-
 def compute_index(perf: IntervalPerformance, cfg: IndexConfig) -> float:
     """Index of one (coverage, mean length) pair under ``cfg``.
 
     Total on its domain: any coverage in [0, 1] and any nonnegative
-    length produce a finite value.  With ``cfg.rescaled`` the affine map
-    of :func:`rescale_index` is applied to the result.
+    length produce a finite value.  Evaluated by
+    :func:`compute_index_array`; with ``cfg.rescaled`` the affine map of
+    :func:`rescale_index`, range check included, is applied to the result.
     """
-    h = _loss(perf.coverage, cfg.alpha, cfg.loss)
-    denom = 1.0 + perf.coverage / (1.0 + perf.mean_length)
-    value = k_alpha(cfg.alpha) * (1.0 - 0.5 * (1.0 + h) / denom)
-    if cfg.rescaled:
-        value = rescale_index(value, cfg)
-    return value
+    raw = IndexConfig(cfg.alpha, cfg.loss) if cfg.rescaled else cfg
+    value = float(compute_index_array(perf.coverage, perf.mean_length, raw))
+    return rescale_index(value, cfg) if cfg.rescaled else value
 
 
 def compute_index_array(coverage, mean_length, cfg: IndexConfig):

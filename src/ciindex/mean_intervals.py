@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError
-from .sampling import SeedSpec
+from .sampling import SeedSpec, bootstrap_resamples
 from .special import normal_cdf, normal_quantile, student_t_quantile
 
 __all__ = [
@@ -126,15 +126,14 @@ def johnson_t_interval(sample, alpha: float) -> ConfidenceInterval:
 def bootstrap_mean_draws(sample, B: int, seed: SeedSpec) -> np.ndarray:
     """Means of ``B`` with-replacement resamples, deterministic under ``seed``.
 
-    The resample index matrix is drawn in one (B, n) block, so the same
-    seed always yields the same resample set regardless of caller.
+    The resamples come from :func:`~ciindex.sampling.bootstrap_resamples`,
+    so the same seed always yields the same resample set regardless of
+    caller.
     """
     values = _as_sample(sample, 1)
     if not (isinstance(B, int) and B >= 2):
         raise DomainError(f"B must be an integer >= 2, got {B!r}")
-    rng = seed.generator()
-    idx = rng.integers(0, values.size, size=(B, values.size))
-    return values[idx].mean(axis=1)
+    return bootstrap_resamples(values, B, seed).mean(axis=1)
 
 
 def _order_statistic(sorted_values: np.ndarray, p: float) -> float:

@@ -179,6 +179,24 @@ def proportion_interval(kind: str, obs: BinomialObservation, alpha: float) -> Co
     return ConfidenceInterval(min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0))
 
 
+def _weighted_outcomes(kind: str, n: int, p: float, alpha: float, weights) -> tuple[float, float]:
+    """Sums of ``w * [interval covers p]`` and ``w * length`` over x = 0..n.
+
+    ``weights[x]`` weighs the outcome of x successes; outcomes of weight
+    zero are skipped without issuing their interval.
+    """
+    cover = 0.0
+    length = 0.0
+    for x, w in enumerate(weights):
+        if w == 0:
+            continue
+        ci = proportion_interval(kind, BinomialObservation(n, x), alpha)
+        if ci.contains(p):
+            cover += w
+        length += w * ci.length
+    return cover, length
+
+
 def exact_performance(kind: str, n: int, p: float, alpha: float) -> IntervalPerformance:
     """Exact coverage and expected length under a Binomial(n, p) draw.
 
@@ -190,11 +208,5 @@ def exact_performance(kind: str, n: int, p: float, alpha: float) -> IntervalPerf
     if not (isinstance(p, (int, float)) and 0.0 < p < 1.0):
         raise DomainError(f"p must lie in (0, 1), got {p!r}")
     pmf = stats.binom.pmf(np.arange(n + 1), n, p)
-    coverage = 0.0
-    length = 0.0
-    for x, w in enumerate(pmf):
-        ci = proportion_interval(kind, BinomialObservation(n, x), alpha)
-        if ci.contains(p):
-            coverage += w
-        length += w * ci.length
+    coverage, length = _weighted_outcomes(kind, n, p, alpha, pmf)
     return IntervalPerformance(min(coverage, 1.0), length)

@@ -23,7 +23,7 @@ __all__ = [
     "DataModel",
     "SeedSpec",
     "binomial_model",
-    "bootstrap_resample",
+    "bootstrap_resamples",
     "draw_sample",
     "lognormal_model",
     "lognormal_skewness",
@@ -174,15 +174,12 @@ def draw_sample(model: DataModel, n: int, seed: SeedSpec) -> np.ndarray:
     return rng.binomial(model.n_trials, model.p, size=n)
 
 
-def bootstrap_resample(sample: np.ndarray, seed: SeedSpec) -> np.ndarray:
-    """One with-replacement resample of ``sample``, same length.
+def bootstrap_resamples(values: np.ndarray, B: int, seed: SeedSpec) -> np.ndarray:
+    """``B`` with-replacement resamples of ``values`` as one (B, n) block.
 
-    Deterministic under ``seed``; every output value is an element of the
-    input.
+    The index matrix is drawn in one ``integers(0, n, size=(B, n))`` call,
+    so a seed always yields the same resample set whichever caller asks.
+    ``values`` must be a nonempty one-dimensional array; callers validate.
     """
-    values = np.asarray(sample)
-    if values.ndim != 1 or values.size == 0:
-        raise DomainError("sample must be a nonempty one-dimensional array")
-    rng = seed.generator()
-    idx = rng.integers(0, values.size, size=values.size)
+    idx = seed.generator().integers(0, values.size, size=(B, values.size))
     return values[idx]

@@ -1,8 +1,9 @@
 """Distribution functions and quantiles used by every interval estimator.
 
-Thin, validated wrappers over ``scipy.special`` for the standard normal,
-Student t, chi-square, and beta distributions.  All functions are pure and
-accept Python floats; they return plain floats.
+Thin, validated wrappers over ``scipy.special``: the standard normal
+distribution function, and the normal, Student t, chi-square, and beta
+quantiles.  All functions are pure and accept Python floats; they return
+plain floats (:func:`normal_cdf_array` works on arrays).
 
 Boundary conventions (needed by estimators at the edge of their support):
 
@@ -14,7 +15,6 @@ Boundary conventions (needed by estimators at the edge of their support):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -22,16 +22,11 @@ from scipy import special as _sp
 from .errors import DomainError
 
 __all__ = [
-    "QuantileRequest",
-    "beta_cdf",
     "beta_quantile",
-    "chi_square_cdf",
     "chi_square_quantile",
     "normal_cdf",
     "normal_cdf_array",
     "normal_quantile",
-    "quantile",
-    "student_t_cdf",
     "student_t_quantile",
 ]
 
@@ -39,11 +34,6 @@ __all__ = [
 def _check_prob_open(p: float, name: str = "p") -> None:
     if not (isinstance(p, (int, float)) and math.isfinite(p)) or not 0.0 < p < 1.0:
         raise DomainError(f"{name} must lie strictly between 0 and 1, got {p!r}")
-
-
-def _check_finite(x: float, name: str) -> None:
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"{name} must be a finite number, got {x!r}")
 
 
 def normal_cdf(x: float) -> float:
@@ -59,7 +49,8 @@ def normal_cdf(x: float) -> float:
     float
         Phi(x) in [0, 1], accurate to well below 1e-12 absolute error.
     """
-    _check_finite(x, "x")
+    if not (isinstance(x, (int, float)) and math.isfinite(x)):
+        raise DomainError(f"x must be a finite number, got {x!r}")
     return float(_sp.ndtr(x))
 
 
@@ -77,30 +68,12 @@ def normal_quantile(p: float) -> float:
     return float(_sp.ndtri(p))
 
 
-def student_t_cdf(x: float, df: float) -> float:
-    """Student t distribution function with ``df`` degrees of freedom."""
-    _check_finite(x, "x")
-    if df <= 0:
-        raise DomainError(f"df must be positive, got {df!r}")
-    return float(_sp.stdtr(df, x))
-
-
 def student_t_quantile(p: float, df: float) -> float:
     """Student t quantile with ``df`` degrees of freedom."""
     _check_prob_open(p)
     if df <= 0:
         raise DomainError(f"df must be positive, got {df!r}")
     return float(_sp.stdtrit(df, p))
-
-
-def chi_square_cdf(x: float, df: float) -> float:
-    """Chi-square distribution function; df=0 degenerates at zero."""
-    _check_finite(x, "x")
-    if df < 0:
-        raise DomainError(f"df must be nonnegative, got {df!r}")
-    if df == 0:
-        return 1.0 if x >= 0 else 0.0
-    return float(_sp.gammainc(df / 2.0, x / 2.0)) if x > 0 else 0.0
 
 
 def chi_square_quantile(p: float, df: float) -> float:
@@ -111,18 +84,6 @@ def chi_square_quantile(p: float, df: float) -> float:
     if df == 0:
         return 0.0
     return float(2.0 * _sp.gammaincinv(df / 2.0, p))
-
-
-def beta_cdf(x: float, a: float, b: float) -> float:
-    """Beta distribution function (regularized incomplete beta)."""
-    _check_finite(x, "x")
-    if a <= 0 or b <= 0:
-        raise DomainError(f"shape parameters must be positive, got a={a!r}, b={b!r}")
-    if x <= 0:
-        return 0.0
-    if x >= 1:
-        return 1.0
-    return float(_sp.betainc(a, b, x))
 
 
 def beta_quantile(p: float, a: float, b: float) -> float:
@@ -140,54 +101,3 @@ def beta_quantile(p: float, a: float, b: float) -> float:
     if b == 0:
         return 1.0
     return float(_sp.betaincinv(a, b, p))
-
-
-@dataclass(frozen=True)
-class QuantileRequest:
-    """A quantile lookup: which distribution, which probability.
-
-    Parameters
-    ----------
-    distribution : str
-        One of ``"normal"``, ``"student_t"``, ``"chi_square"``, ``"beta"``.
-    p : float
-        Probability in (0, 1).
-    df : float, optional
-        Degrees of freedom for ``student_t`` (positive) and ``chi_square``
-        (nonnegative; 0 uses the degenerate convention).
-    a, b : float, optional
-        Beta shape parameters (nonnegative; a zero shape uses the boundary
-        convention).
-    """
-
-    distribution: str
-    p: float
-    df: float | None = None
-    a: float | None = None
-    b: float | None = None
-
-
-def quantile(req: QuantileRequest) -> float:
-    """Evaluate the quantile described by ``req``.
-
-    Raises
-    ------
-    DomainError
-        If ``p`` is outside (0, 1), a parameter is invalid, or the
-        distribution name is unknown.
-    """
-    if req.distribution == "normal":
-        return normal_quantile(req.p)
-    if req.distribution == "student_t":
-        if req.df is None:
-            raise DomainError("student_t requires df")
-        return student_t_quantile(req.p, req.df)
-    if req.distribution == "chi_square":
-        if req.df is None:
-            raise DomainError("chi_square requires df")
-        return chi_square_quantile(req.p, req.df)
-    if req.distribution == "beta":
-        if req.a is None or req.b is None:
-            raise DomainError("beta requires shape parameters a and b")
-        return beta_quantile(req.p, req.a, req.b)
-    raise DomainError(f"unknown distribution {req.distribution!r}")

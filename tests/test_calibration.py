@@ -15,7 +15,10 @@ from ciindex import (
 )
 from ciindex.calibration import DEFAULT_SKIP_DELTA, _beta_from_lambdas
 from ciindex.mean_intervals import (
+    MEAN_ESTIMATORS,
+    bca_from_boot_means,
     bootstrap_mean_draws,
+    johnson_t_interval,
     normal_theory_interval,
     percentile_from_boot_means,
 )
@@ -91,13 +94,21 @@ def test_skip_rule_boundary():
     assert DEFAULT_SKIP_DELTA == 0.005
 
 
-def test_calibrated_interval_reuses_resample_set():
-    # percentile interval at the calibrated level equals recomputing the
-    # percentile rule at that level on the same bootstrap means
+@pytest.mark.parametrize("kind", MEAN_ESTIMATORS)
+def test_calibrated_interval_reuses_resample_set(kind):
+    # each interval at the calibrated level equals recomputing the
+    # estimator at that level; the bootstrap pair on the same resample means
     res = calibrate_level(SAMPLE, 0.05, 300, SEED)
-    ci = calibrated_interval("bootstrap_percentile", SAMPLE, 0.05, 300, SEED)
-    means = bootstrap_mean_draws(np.asarray(SAMPLE, dtype=float), 300, SEED)
-    assert ci == percentile_from_boot_means(means, res.beta)
+    ci = calibrated_interval(kind, SAMPLE, 0.05, 300, SEED)
+    values = np.asarray(SAMPLE, dtype=float)
+    means = bootstrap_mean_draws(values, 300, SEED)
+    want = {
+        "normal_theory": normal_theory_interval(values, res.beta),
+        "johnson_t": johnson_t_interval(values, res.beta),
+        "bootstrap_percentile": percentile_from_boot_means(means, res.beta),
+        "bca": bca_from_boot_means(values, means, res.beta),
+    }
+    assert ci == want[kind]
 
 
 def test_calibrated_interval_widens_at_smaller_beta():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -267,6 +268,15 @@ def test_config_validation_failures(tmp_path, capsys):
     )
     assert main(["simulate-mean", "--config", str(no_seed), "--out", str(tmp_path)]) == EXIT_VALIDATION
     assert "seed" in capsys.readouterr().err
+
+
+def test_workers_above_cpu_count_rejected(tmp_path, capsys):
+    # validated with the config, before any process pool is built
+    cfg = _write(tmp_path, "w.ini", MEAN_INI + f"workers = {(os.cpu_count() or 1) + 1}\n")
+    out = tmp_path / "out"
+    assert main(["simulate-mean", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert not (out / "run_metadata.json").exists()
+    assert "workers" in capsys.readouterr().err
 
 
 def test_missing_input_file(tmp_path):

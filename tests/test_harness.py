@@ -2,6 +2,7 @@
 stream layout, and a small frozen regression."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ciindex import (
     IndexConfig,
     InsufficientDataError,
     IntervalPerformance,
+    SeedSpec,
     SimulationPlan,
     binomial_model,
     compute_index,
@@ -189,6 +191,36 @@ def test_calibration_study_widens_when_not_skipped():
     assert cal_len > uncal_len
     assert cal_cov > uncal_cov
     assert comp.empirical_coverage == pytest.approx(uncal_cov, abs=1e-12)
+
+
+def test_calibration_study_opens_each_stream_once(monkeypatch):
+    # one pass: the alpha and beta intervals share every (1, r) data
+    # stream and (2, r, i) resample stream
+    opened = Counter()
+    generator = SeedSpec.generator
+
+    def counting(self):
+        opened[self.stream_path] += 1
+        return generator(self)
+
+    monkeypatch.setattr(SeedSpec, "generator", counting)
+    plan = SimulationPlan(
+        model=normal_model(2.0, 1.0),
+        n=8,
+        N=20,
+        B=30,
+        R=3,
+        alpha=0.05,
+        estimators=("normal_theory", "johnson_t", "bootstrap_percentile", "bca"),
+        master_seed=3,
+        calibrate=True,
+        skip_delta=0.0,
+    )
+    comparison = run_calibration_study(plan)
+    assert not all(comp.skipped for comp in comparison.values())
+    streams = {(1, r) for r in range(3)} | {(2, r, i) for r in range(3) for i in range(20)}
+    assert set(opened) == streams
+    assert set(opened.values()) == {1}
 
 
 def test_calibrate_flag_routes_mean_study():

@@ -10,13 +10,13 @@ from ciindex import (
     DomainError,
     SeedSpec,
     binomial_model,
-    bootstrap_resample,
     draw_sample,
     lognormal_model,
     lognormal_skewness,
     normal_model,
     true_parameter,
 )
+from ciindex.sampling import bootstrap_resamples
 
 # 1 percent critical values keep distribution checks stable across platforms
 KS_LEVEL = 0.01
@@ -110,8 +110,8 @@ def test_draw_sample_validation():
 
 def test_bootstrap_resample_draws_from_sample():
     sample = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
-    boot = bootstrap_resample(sample, SeedSpec(5, (2, 0, 0)))
-    assert boot.shape == sample.shape
-    assert set(boot).issubset(set(sample))
-    again = bootstrap_resample(sample, SeedSpec(5, (2, 0, 0)))
+    boot = bootstrap_resamples(sample, 7, SeedSpec(5, (2, 0, 0)))
+    assert boot.shape == (7, sample.size)
+    assert set(boot.ravel()).issubset(set(sample))
+    again = bootstrap_resamples(sample, 7, SeedSpec(5, (2, 0, 0)))
     assert np.array_equal(boot, again)
