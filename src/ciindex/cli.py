@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -38,6 +39,7 @@ import scipy
 from . import __version__
 from .errors import CiindexError, ConfigError
 from .harness import (
+    DEFAULT_SKIP_DELTA,
     DESK_SCALE,
     PAPER_SCALE,
     SimulationPlan,
@@ -55,7 +57,6 @@ __all__ = [
     "ReportRow",
     "apply_index",
     "main",
-    "run_from_config",
 ]
 
 SCHEMA_VERSION = 1
@@ -253,7 +254,7 @@ def _require(parser, section, key, kind):
     return value
 
 
-def _build_plan(eff: _Effective, model: DataModel, calibrate: bool) -> SimulationPlan:
+def _build_plan(eff: _Effective, model: DataModel) -> SimulationPlan:
     parser = eff.parser
     if eff.seed is None:
         raise ConfigError("a seed is required (config [run] seed or --seed)")
@@ -275,7 +276,7 @@ def _build_plan(eff: _Effective, model: DataModel, calibrate: bool) -> Simulatio
     estimators = (
         tuple(e.strip() for e in raw.split(",") if e.strip()) if raw else default_estimators
     )
-    skip_delta = _get_typed(parser, "study", "skip_delta", float, 0.005)
+    skip_delta = _get_typed(parser, "study", "skip_delta", float, DEFAULT_SKIP_DELTA)
     return SimulationPlan(
         model=model,
         n=n,
@@ -285,7 +286,6 @@ def _build_plan(eff: _Effective, model: DataModel, calibrate: bool) -> Simulatio
         alpha=eff.alpha,
         estimators=estimators,
         master_seed=eff.seed,
-        calibrate=calibrate,
         skip_delta=skip_delta,
         loss=eff.loss,
         rescaled=eff.rescaled,
@@ -351,27 +351,13 @@ def _write_metadata(out_dir: Path, echo: dict, extra: dict | None = None) -> str
     return plan_hash
 
 
-def _model_echo(model: DataModel) -> dict:
-    fields = {k: v for k, v in vars(model).items() if v is not None}
-    return fields
-
-
 def _plan_echo(mode: str, plan: SimulationPlan) -> dict:
-    return {
-        "mode": mode,
-        "model": _model_echo(plan.model),
-        "n": plan.n,
-        "N": plan.N,
-        "B": plan.B,
-        "R": plan.R,
-        "alpha": plan.alpha,
-        "estimators": list(plan.estimators),
-        "master_seed": plan.master_seed,
-        "calibrate": plan.calibrate,
-        "skip_delta": plan.skip_delta,
-        "loss": plan.loss,
-        "rescaled": plan.rescaled,
-    }
+    # every plan field, the model's set fields only; "calibrate" keeps the
+    # echo (and so the plan hash) of the mode that runs a calibration study
+    echo = dataclasses.asdict(plan)
+    echo["model"] = {k: v for k, v in echo["model"].items() if v is not None}
+    echo.update(mode=mode, calibrate=mode == "calibrate")
+    return echo
 
 
 def _comments(plan_hash: str, master_seed: int | None) -> list[str]:
@@ -384,9 +370,7 @@ def _comments(plan_hash: str, master_seed: int | None) -> list[str]:
 
 
 def _run_simulate_mean(eff: _Effective) -> None:
-    plan = _build_plan(eff, _build_model(eff.parser), calibrate=False)
-    if plan.model.kind == "binomial":
-        raise ConfigError("simulate-mean needs a normal or lognormal model")
+    plan = _build_plan(eff, _build_model(eff.parser))
     results = run_mean_study(plan, n_workers=_workers(eff))
     echo = _plan_echo("simulate-mean", plan)
     plan_hash = _write_metadata(eff.out_dir, echo)
@@ -434,9 +418,7 @@ def _run_simulate_mean(eff: _Effective) -> None:
 
 
 def _run_simulate_proportion(eff: _Effective) -> None:
-    plan = _build_plan(eff, _build_model(eff.parser), calibrate=False)
-    if plan.model.kind != "binomial":
-        raise ConfigError("simulate-proportion needs a binomial model")
+    plan = _build_plan(eff, _build_model(eff.parser))
     results = run_proportion_study(plan)
     echo = _plan_echo("simulate-proportion", plan)
     plan_hash = _write_metadata(eff.out_dir, echo)
@@ -455,9 +437,7 @@ def _run_simulate_proportion(eff: _Effective) -> None:
 
 
 def _run_calibrate(eff: _Effective) -> None:
-    plan = _build_plan(eff, _build_model(eff.parser), calibrate=True)
-    if plan.model.kind == "binomial":
-        raise ConfigError("calibrate needs a normal or lognormal model")
+    plan = _build_plan(eff, _build_model(eff.parser))
     comparison = run_calibration_study(plan, n_workers=_workers(eff))
     echo = _plan_echo("calibrate", plan)
     plan_hash = _write_metadata(eff.out_dir, echo, {"calibration_resamples": "reused"})
@@ -663,20 +643,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - last-resort runtime failure
         print(f"ciindex: unexpected failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-
-
-def run_from_config(config_path: str, out_dir: str = ".") -> int:
-    """Execute the mode named by the config's [run] mode key.
-
-    Equivalent to ``ciindex <mode> --config config_path --out out_dir``;
-    returns the exit code.
-    """
-    try:
-        parser = _load_config(Path(config_path))
-        mode = parser.get("run", "mode", fallback=None)
-        if mode is None or mode.strip() not in _MODES:
-            raise ConfigError(f"[run] mode must be one of {_MODES}, got {mode!r}")
-    except CiindexError as exc:
-        print(f"ciindex: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return main([mode.strip(), "--config", str(config_path), "--out", str(out_dir)])

@@ -31,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .calibration import DEFAULT_SKIP_DELTA, _beta_from_lambdas, _lambdas, calibrate_level
+from .calibration import _beta_from_lambdas, _lambdas, calibrate_level
 from .errors import ConfigError, DomainError, InsufficientDataError
 from .index import IndexConfig, IntervalPerformance, compute_index
 from .mean_intervals import (
@@ -48,7 +48,7 @@ from .proportion_intervals import (  # noqa: F401 - proportion_interval stays im
     _weighted_outcomes,
     proportion_interval,
 )
-from .sampling import DataModel, SeedSpec, bootstrap_resamples, true_parameter
+from .sampling import DataModel, SeedSpec, _draw, bootstrap_resamples, true_parameter
 
 __all__ = [
     "DESK_SCALE",
@@ -64,6 +64,7 @@ __all__ = [
     "summarize_index",
 ]
 
+DEFAULT_SKIP_DELTA = 0.005
 DESK_SCALE = {"R": 50, "N": 500, "B": 200}
 PAPER_SCALE = {"R": 5000, "N": 1000, "B": 1000}
 
@@ -82,7 +83,6 @@ class SimulationPlan:
     alpha: float
     estimators: tuple[str, ...]
     master_seed: int
-    calibrate: bool = False
     skip_delta: float = DEFAULT_SKIP_DELTA
     loss: str = "absolute"
     rescaled: bool = False
@@ -112,10 +112,9 @@ class SimulationPlan:
                     f"({self.model.n_trials})"
                 )
         else:
-            needs_boot = self.calibrate or any(e in _BOOTSTRAP_KINDS for e in self.estimators)
-            if needs_boot and self.B < 2:
-                raise ConfigError("bootstrap or calibration requires B >= 2")
-            min_n = 3 if (self.calibrate or {"johnson_t", "bca"} & set(self.estimators)) else 2
+            if any(e in _BOOTSTRAP_KINDS for e in self.estimators) and self.B < 2:
+                raise ConfigError("bootstrap estimators require B >= 2")
+            min_n = 3 if {"johnson_t", "bca"} & set(self.estimators) else 2
             if self.n < min_n:
                 raise ConfigError(f"n must be at least {min_n} for these estimators")
 
@@ -208,15 +207,6 @@ def _summary_for_study(values) -> IndexSummary:
     return IndexSummary(mean=float(data.mean()), skewness=math.nan, kurtosis=math.nan, st_dev=sd)
 
 
-def _draw_matrix(model: DataModel, N: int, n: int, seed: SeedSpec) -> np.ndarray:
-    rng = seed.generator()
-    if model.kind == "normal":
-        return rng.normal(model.mu, math.sqrt(model.sigma2), size=(N, n))
-    if model.kind == "lognormal":
-        return rng.lognormal(model.mu_log, math.sqrt(model.sigma2_log), size=(N, n))
-    raise ConfigError(f"no matrix draw for model kind {model.kind!r}")
-
-
 def _issue_interval(kind: str, values: np.ndarray, alpha: float, boot_means):
     if kind == "normal_theory":
         return normal_theory_interval(values, alpha)
@@ -233,22 +223,17 @@ def calibrated_interval(
     alpha: float,
     B: int,
     seed: SeedSpec,
-    *,
-    empirical_coverage: float | None = None,
-    skip_delta: float = DEFAULT_SKIP_DELTA,
 ) -> ConfidenceInterval:
     """``kind``'s interval at the level :func:`calibrate_level` gives.
 
-    A skipped calibration reproduces the uncalibrated interval exactly.
-    The bootstrap estimators are re-evaluated on the resample means drawn
-    from the same ``seed`` as the level, so the only change is the working
-    level.
+    The level is always calibrated: the skip rule is a study setting,
+    applied only by :func:`run_calibration_study`.  The bootstrap
+    estimators are re-evaluated on the resample means drawn from the same
+    ``seed`` as the level, so the only change is the working level.
     """
     if kind not in MEAN_ESTIMATORS:
         raise DomainError(f"kind must be one of {MEAN_ESTIMATORS}, got {kind!r}")
-    beta = calibrate_level(
-        sample, alpha, B, seed, empirical_coverage=empirical_coverage, skip_delta=skip_delta
-    ).beta
+    beta = calibrate_level(sample, alpha, B, seed).beta
     values = np.asarray(sample, dtype=float)
     boot_means = bootstrap_mean_draws(values, B, seed) if kind in _BOOTSTRAP_KINDS else None
     return _issue_interval(kind, values, beta, boot_means)
@@ -266,7 +251,7 @@ def _replication(
     which is shared by every estimator.
     """
     seed = SeedSpec(plan.master_seed)
-    matrix = _draw_matrix(plan.model, plan.N, plan.n, seed.child(1, r))
+    matrix = _draw(plan.model, (plan.N, plan.n), seed.child(1, r))
     theta = true_parameter(plan.model)
     needs_boot = calibrate or any(e in _BOOTSTRAP_KINDS for e in plan.estimators)
 
@@ -329,14 +314,11 @@ def run_mean_study(
     """Score the plan's mean-interval estimators over R replications.
 
     Returns, per estimator, the R replication results and the summary of
-    their R index values.  With ``plan.calibrate`` the results are those
-    of the calibrated intervals (see :func:`run_calibration_study`).
+    their R index values, all at the plan's alpha.  Calibrated intervals
+    come only from :func:`run_calibration_study`.
     """
     if plan.model.kind not in ("normal", "lognormal"):
         raise ConfigError("run_mean_study requires a normal or lognormal model")
-    if plan.calibrate:
-        comparison = run_calibration_study(plan, n_workers=n_workers)
-        return {e: comparison[e].calibrated for e in plan.estimators}
     raw = _map_replications(partial(_replication, plan, False), plan.R, n_workers)
     return _collect(plan, [at_alpha for at_alpha, _, _ in raw], plan.estimators)
 
@@ -354,8 +336,8 @@ def run_calibration_study(
     """
     if plan.model.kind not in ("normal", "lognormal"):
         raise ConfigError("run_calibration_study requires a normal or lognormal model")
-    if plan.B < 2:
-        raise ConfigError("calibration requires B >= 2")
+    if plan.B < 2 or plan.n < 3:
+        raise ConfigError("calibration requires B >= 2 and n >= 3")
     raw = _map_replications(partial(_replication, plan, True), plan.R, n_workers)
     uncal = _collect(plan, [at_alpha for at_alpha, _, _ in raw], plan.estimators)
 
@@ -392,9 +374,7 @@ def run_proportion_study(plan: SimulationPlan) -> dict[str, ReplicationResult]:
     """
     if plan.model.kind != "binomial":
         raise ConfigError("run_proportion_study requires a binomial model")
-    seed = SeedSpec(plan.master_seed)
-    rng = seed.child(3).generator()
-    counts = rng.binomial(plan.model.n_trials, plan.model.p, size=plan.R)
+    counts = _draw(plan.model, plan.R, SeedSpec(plan.master_seed).child(3))
     weights = np.bincount(counts, minlength=plan.model.n_trials + 1)
 
     p = true_parameter(plan.model)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .special import _check_prob_open
 
 __all__ = [
     "IndexConfig",
@@ -57,8 +58,7 @@ class IndexConfig:
     rescaled: bool = False
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 1.0):
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        _check_prob_open(self.alpha, "alpha")
         if self.loss not in _LOSSES:
             raise DomainError(f"loss must be one of {_LOSSES}, got {self.loss!r}")
 
@@ -83,8 +83,7 @@ class IntervalPerformance:
 
 def k_alpha(alpha: float) -> float:
     """Scaling constant (4 - 2 alpha) / (3 - 2 alpha)."""
-    if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_prob_open(alpha, "alpha")
     return (4.0 - 2.0 * alpha) / (3.0 - 2.0 * alpha)
 
 

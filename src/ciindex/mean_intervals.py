@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError
 from .sampling import SeedSpec, bootstrap_resamples
-from .special import normal_cdf, normal_quantile, student_t_quantile
+from .special import _check_prob_open, normal_cdf, normal_quantile, student_t_quantile
 
 __all__ = [
     "ConfidenceInterval",
@@ -59,11 +59,6 @@ class ConfidenceInterval:
         return self.lower <= value <= self.upper
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-
-
 def _as_sample(sample, min_n: int) -> np.ndarray:
     values = np.asarray(sample, dtype=float)
     if values.ndim != 1:
@@ -93,7 +88,7 @@ def normal_theory_interval(sample, alpha: float) -> ConfidenceInterval:
     ``s`` is the unbiased (n-1 denominator) standard deviation.  A
     zero-variance sample yields the degenerate interval at the mean.
     """
-    _check_alpha(alpha)
+    _check_prob_open(alpha, "alpha")
     values = _as_sample(sample, 2)
     n = values.size
     center = float(values.mean())
@@ -110,7 +105,7 @@ def johnson_t_interval(sample, alpha: float) -> ConfidenceInterval:
     changes of units, and it vanishes for symmetric samples, recovering
     the usual t interval.  Right-skewed data shift the interval right.
     """
-    _check_alpha(alpha)
+    _check_prob_open(alpha, "alpha")
     values = _as_sample(sample, 3)
     n = values.size
     mean = float(values.mean())
@@ -145,7 +140,7 @@ def _order_statistic(sorted_values: np.ndarray, p: float) -> float:
 
 def percentile_from_boot_means(boot_means, alpha: float) -> ConfidenceInterval:
     """Percentile interval from precomputed bootstrap means."""
-    _check_alpha(alpha)
+    _check_prob_open(alpha, "alpha")
     means = np.sort(np.asarray(boot_means, dtype=float))
     if means.size < 2:
         raise InsufficientDataError("need at least 2 bootstrap means")
@@ -170,7 +165,7 @@ def bca_from_boot_means(sample, boot_means, alpha: float) -> ConfidenceInterval:
     denominator falls back to a = 0, making the interval coincide with
     the percentile interval when additionally z0 = 0.
     """
-    _check_alpha(alpha)
+    _check_prob_open(alpha, "alpha")
     values = _as_sample(sample, 3)
     means = np.sort(np.asarray(boot_means, dtype=float))
     B = means.size

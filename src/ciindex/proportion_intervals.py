@@ -32,7 +32,7 @@ from scipy import stats
 from .errors import DomainError
 from .index import IntervalPerformance
 from .mean_intervals import ConfidenceInterval
-from .special import beta_quantile, chi_square_quantile, normal_quantile
+from .special import _check_prob_open, beta_quantile, chi_square_quantile, normal_quantile
 
 __all__ = [
     "BinomialObservation",
@@ -173,8 +173,7 @@ def proportion_interval(kind: str, obs: BinomialObservation, alpha: float) -> Co
     """Interval for the success probability, endpoints clipped to [0, 1]."""
     if kind not in _FORMULAS:
         raise DomainError(f"kind must be one of {PROPORTION_ESTIMATORS}, got {kind!r}")
-    if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_prob_open(alpha, "alpha")
     lo, hi = _FORMULAS[kind](obs.n, obs.x, alpha)
     return ConfidenceInterval(min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0))
 
@@ -205,8 +204,7 @@ def exact_performance(kind: str, n: int, p: float, alpha: float) -> IntervalPerf
     """
     if not (isinstance(n, int) and 1 <= n <= 10**4):
         raise DomainError(f"n must be an integer in [1, 10^4], got {n!r}")
-    if not (isinstance(p, (int, float)) and 0.0 < p < 1.0):
-        raise DomainError(f"p must lie in (0, 1), got {p!r}")
+    _check_prob_open(p)
     pmf = stats.binom.pmf(np.arange(n + 1), n, p)
     coverage, length = _weighted_outcomes(kind, n, p, alpha, pmf)
     return IntervalPerformance(min(coverage, 1.0), length)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .special import _check_prob_open
 
 __all__ = [
     "DataModel",
@@ -80,8 +81,7 @@ class DataModel:
         else:
             if not (isinstance(self.n_trials, int) and self.n_trials >= 1):
                 raise DomainError(f"n_trials must be a positive integer, got {self.n_trials!r}")
-            if not (isinstance(self.p, (int, float)) and 0.0 < self.p < 1.0):
-                raise DomainError(f"p must lie in (0, 1), got {self.p!r}")
+            _check_prob_open(self.p)
 
 
 def normal_model(mu: float, sigma2: float) -> DataModel:
@@ -166,12 +166,18 @@ def draw_sample(model: DataModel, n: int, seed: SeedSpec) -> np.ndarray:
     """
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
+    return _draw(model, n, seed)
+
+
+def _draw(model: DataModel, size, seed: SeedSpec) -> np.ndarray:
+    # the one mapping from model to generator call; ``size`` is an int or
+    # a shape, and callers validate it
     rng = seed.generator()
     if model.kind == "normal":
-        return rng.normal(model.mu, math.sqrt(model.sigma2), size=n)
+        return rng.normal(model.mu, math.sqrt(model.sigma2), size=size)
     if model.kind == "lognormal":
-        return rng.lognormal(model.mu_log, math.sqrt(model.sigma2_log), size=n)
-    return rng.binomial(model.n_trials, model.p, size=n)
+        return rng.lognormal(model.mu_log, math.sqrt(model.sigma2_log), size=size)
+    return rng.binomial(model.n_trials, model.p, size=size)
 
 
 def bootstrap_resamples(values: np.ndarray, B: int, seed: SeedSpec) -> np.ndarray:

@@ -121,7 +121,6 @@ def _calibration_study(n: int):
             alpha=0.05,
             estimators=ESTIMATORS,
             master_seed=ACCEPTANCE_SEED,
-            calibrate=True,
             skip_delta=0.005,
         )
         _CACHE[key] = run_calibration_study(plan)

@@ -1,4 +1,4 @@
-"""Working-level calibration: quantile rule, floor, skip rule, reuse."""
+"""Working-level calibration: quantile rule, floor, resample reuse."""
 
 import math
 
@@ -13,7 +13,7 @@ from ciindex import (
     calibrate_level,
     calibrated_interval,
 )
-from ciindex.calibration import DEFAULT_SKIP_DELTA, _beta_from_lambdas
+from ciindex.calibration import _beta_from_lambdas
 from ciindex.mean_intervals import (
     MEAN_ESTIMATORS,
     bca_from_boot_means,
@@ -46,7 +46,6 @@ def test_beta_quantile_rule_no_floor():
 
 def test_calibrate_level_basic():
     result = calibrate_level(SAMPLE, 0.05, 200, SEED)
-    assert not result.skipped
     assert len(result.lambdas) == 200
     assert 1.0 / 400.0 <= result.beta <= 0.5
     again = calibrate_level(SAMPLE, 0.05, 200, SEED)
@@ -72,26 +71,6 @@ def test_degenerate_sample_all_equal():
     res = calibrate_level([3.0, 3.0, 3.0, 3.0], 0.05, 40, SEED)
     assert all(lam == 0.0 for lam in res.lambdas)
     assert res.beta == pytest.approx(1.0 / 80.0, abs=1e-15)
-
-
-def test_skip_rule_identity():
-    res = calibrate_level(SAMPLE, 0.05, 200, SEED, empirical_coverage=0.9505)
-    assert res.skipped
-    assert res.beta == 0.05
-    assert res.lambdas == ()
-    ci = calibrated_interval("normal_theory", SAMPLE, 0.05, 200, SEED, empirical_coverage=0.9505)
-    assert ci == normal_theory_interval(SAMPLE, 0.05)
-
-
-def test_skip_rule_boundary():
-    # 0.946 sits within the default 0.005 window of nominal
-    at_edge = calibrate_level(SAMPLE, 0.05, 100, SEED, empirical_coverage=0.946)
-    assert at_edge.skipped
-    outside = calibrate_level(SAMPLE, 0.05, 100, SEED, empirical_coverage=0.9551)
-    assert not outside.skipped
-    custom = calibrate_level(SAMPLE, 0.05, 100, SEED, empirical_coverage=0.90, skip_delta=0.06)
-    assert custom.skipped
-    assert DEFAULT_SKIP_DELTA == 0.005
 
 
 @pytest.mark.parametrize("kind", MEAN_ESTIMATORS)
@@ -121,9 +100,9 @@ def test_calibrated_interval_widens_at_smaller_beta():
 
 def test_calibration_result_validation():
     with pytest.raises(DomainError):
-        CalibrationResult(beta=0.0, lambdas=(), skipped=True)
+        CalibrationResult(beta=0.0, lambdas=())
     with pytest.raises(DomainError):
-        CalibrationResult(beta=0.05, lambdas=(0.1,), skipped=True)
+        CalibrationResult(beta=1.0, lambdas=(0.1,))
 
 
 def test_input_validation():
@@ -135,5 +114,3 @@ def test_input_validation():
         calibrate_level(SAMPLE, 0.0, 50, SEED)
     with pytest.raises(DomainError):
         calibrated_interval("median", SAMPLE, 0.05, 50, SEED)
-    with pytest.raises(DomainError):
-        calibrate_level(SAMPLE, 0.05, 50, SEED, empirical_coverage=1.5)

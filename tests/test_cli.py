@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,9 +17,10 @@ from ciindex.cli import (
     ReportRow,
     apply_index,
     main,
-    run_from_config,
 )
 from published_tables import CV_ROW_ORDER, CV_ROWS
+
+REPO = Path(__file__).resolve().parents[1]
 
 MEAN_INI = """\
 [run]
@@ -76,6 +79,7 @@ def test_simulate_mean_outputs(tmp_path):
     meta = json.loads((out / "run_metadata.json").read_text())
     assert meta["plan"]["master_seed"] == 414243
     assert meta["plan"]["mode"] == "simulate-mean"
+    assert meta["plan"]["calibrate"] is False
     assert set(meta["versions"]) == {"ciindex", "numpy", "python", "scipy"}
     sum_header, sum_rows = _read_rows(out / "summary.csv")
     assert sum_header[0] == "estimator" and len(sum_rows) == 4
@@ -284,16 +288,6 @@ def test_missing_input_file(tmp_path):
     assert main(["apply", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VALIDATION
 
 
-def test_run_from_config(tmp_path):
-    cfg = _write(tmp_path, "mean.ini", MEAN_INI)
-    out = tmp_path / "out"
-    assert run_from_config(str(cfg), str(out)) == EXIT_OK
-    assert (out / "replications.csv").is_file()
-    # a config without a mode cannot drive run_from_config
-    nomode = _write(tmp_path, "x.ini", "[run]\nschema = 1\n")
-    assert run_from_config(str(nomode), str(out)) == EXIT_VALIDATION
-
-
 def test_calibrate_mode_csv(tmp_path):
     ini = """\
 [run]
@@ -321,3 +315,25 @@ skip_delta = 0.0001
     assert {r[1] for r in rows} == {"uncalibrated", "calibrated"}
     meta = json.loads((out / "run_metadata.json").read_text())
     assert meta["calibration_resamples"] == "reused"
+    # the echo lists every plan field; "calibrate" marks the calibrate mode
+    assert sorted(meta["plan"]) == [
+        "B", "N", "R", "alpha", "calibrate", "estimators", "loss", "master_seed",
+        "mode", "model", "n", "rescaled", "skip_delta",
+    ]
+    assert meta["plan"]["calibrate"] is True
+    assert meta["plan"]["model"] == {"kind": "lognormal", "mu_log": 0.0, "sigma2_log": 1.0}
+
+
+def test_python_m_ciindex_matches_main(tmp_path):
+    config = str(REPO / "configs" / "proportion.ini")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-m", "ciindex", "simulate-proportion", "--config", config,
+         "--out", str(tmp_path / "child")],
+        cwd=REPO, env=env, capture_output=True, text=True, check=False,
+    )
+    assert child.returncode == EXIT_OK, child.stderr
+    assert main(["simulate-proportion", "--config", config, "--out", str(tmp_path / "here")]) == EXIT_OK
+    written = (tmp_path / "child" / "results.csv").read_bytes()
+    assert written == (tmp_path / "here" / "results.csv").read_bytes()

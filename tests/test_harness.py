@@ -1,6 +1,7 @@
 """Simulation harness: summaries, determinism, worker independence,
 stream layout, and a small frozen regression."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -25,6 +26,7 @@ from ciindex import (
     run_proportion_study,
     summarize_index,
 )
+from ciindex.harness import DEFAULT_SKIP_DELTA
 
 MEAN_PLAN = SimulationPlan(
     model=normal_model(2.0, 1.0),
@@ -160,7 +162,6 @@ def test_calibration_study_skip_all_identity():
         alpha=0.05,
         estimators=("normal_theory", "bootstrap_percentile"),
         master_seed=11,
-        calibrate=True,
         skip_delta=1.0,
     )
     comparison = run_calibration_study(plan)
@@ -180,7 +181,6 @@ def test_calibration_study_widens_when_not_skipped():
         alpha=0.05,
         estimators=("normal_theory",),
         master_seed=11,
-        calibrate=True,
         skip_delta=0.0001,
     )
     comp = run_calibration_study(plan)["normal_theory"]
@@ -213,7 +213,6 @@ def test_calibration_study_opens_each_stream_once(monkeypatch):
         alpha=0.05,
         estimators=("normal_theory", "johnson_t", "bootstrap_percentile", "bca"),
         master_seed=3,
-        calibrate=True,
         skip_delta=0.0,
     )
     comparison = run_calibration_study(plan)
@@ -223,21 +222,43 @@ def test_calibration_study_opens_each_stream_once(monkeypatch):
     assert set(opened.values()) == {1}
 
 
-def test_calibrate_flag_routes_mean_study():
+def test_calibration_study_skip_boundary():
+    # the study-level skip rule is inclusive: an estimator whose coverage
+    # sits exactly skip_delta from nominal keeps its uncalibrated results
     plan = SimulationPlan(
-        model=normal_model(2.0, 1.0),
-        n=6,
-        N=20,
+        model=lognormal_model(0.0, 1.0),
+        n=10,
+        N=40,
         B=30,
         R=4,
         alpha=0.05,
         estimators=("normal_theory",),
-        master_seed=5,
-        calibrate=True,
+        master_seed=17,
+        skip_delta=0.0,
     )
-    routed = run_mean_study(plan)
-    direct = run_calibration_study(plan)
-    assert routed.keys() == direct.keys()
+    first = run_calibration_study(plan)["normal_theory"]
+    d = abs(first.empirical_coverage - 0.95)
+    assert d > 0.0
+    at_edge = run_calibration_study(dataclasses.replace(plan, skip_delta=d))["normal_theory"]
+    assert at_edge.skipped
+    assert at_edge.calibrated == at_edge.uncalibrated
+    inside = dataclasses.replace(plan, skip_delta=math.nextafter(d, 0.0))
+    calibrated = run_calibration_study(inside)["normal_theory"]
+    assert not calibrated.skipped
+    assert calibrated.calibrated == first.calibrated
+    assert DEFAULT_SKIP_DELTA == 0.005
+
+
+def test_calibration_study_needs_resamples_and_three_observations(monkeypatch):
+    # checked by the study itself, before any stream is opened
+    monkeypatch.setattr(SeedSpec, "generator", lambda self: pytest.fail("stream opened"))
+    for n, B in ((10, 1), (2, 30)):
+        plan = SimulationPlan(
+            model=normal_model(2.0, 1.0), n=n, N=10, B=B, R=2, alpha=0.05,
+            estimators=("normal_theory",), master_seed=1,
+        )
+        with pytest.raises(ConfigError):
+            run_calibration_study(plan)
 
 
 def test_plan_validation():
