@@ -31,14 +31,13 @@ from functools import partial
 
 import numpy as np
 
-from .calibration import _beta_from_lambdas, _lambdas, calibrate_level
+from .calibration import _beta_from_lambdas, _lambdas, _resample_stats
 from .errors import ConfigError, DomainError, InsufficientDataError
-from .index import IndexConfig, IntervalPerformance, compute_index
+from .index import IndexConfig, IntervalPerformance, compute_index, compute_index_array
 from .mean_intervals import (
     MEAN_ESTIMATORS,
     ConfidenceInterval,
     bca_from_boot_means,
-    bootstrap_mean_draws,
     johnson_t_interval,
     normal_theory_interval,
     percentile_from_boot_means,
@@ -69,6 +68,9 @@ DESK_SCALE = {"R": 50, "N": 500, "B": 200}
 PAPER_SCALE = {"R": 5000, "N": 1000, "B": 1000}
 
 _BOOTSTRAP_KINDS = ("bootstrap_percentile", "bca")
+# samples per block in a replication: the estimators and the level rule
+# run once per block, the resample draw once per sample
+_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -227,16 +229,15 @@ def calibrated_interval(
     """``kind``'s interval at the level :func:`calibrate_level` gives.
 
     The level is always calibrated: the skip rule is a study setting,
-    applied only by :func:`run_calibration_study`.  The bootstrap
-    estimators are re-evaluated on the resample means drawn from the same
-    ``seed`` as the level, so the only change is the working level.
+    applied only by :func:`run_calibration_study`.  The sample's one
+    resample set from ``seed`` gives both the level and the bootstrap
+    estimators' resample means, so the only change is the working level.
     """
     if kind not in MEAN_ESTIMATORS:
         raise DomainError(f"kind must be one of {MEAN_ESTIMATORS}, got {kind!r}")
-    beta = calibrate_level(sample, alpha, B, seed).beta
-    values = np.asarray(sample, dtype=float)
-    boot_means = bootstrap_mean_draws(values, B, seed) if kind in _BOOTSTRAP_KINDS else None
-    return _issue_interval(kind, values, beta, boot_means)
+    values, means, sds = _resample_stats(sample, alpha, B, seed)
+    beta = _beta_from_lambdas(_lambdas(values, means, sds), alpha)
+    return _issue_interval(kind, values, beta, means)
 
 
 def _replication(
@@ -249,40 +250,54 @@ def _replication(
     and NaN.  Each sample's (2, r, i) resample set is drawn once and
     serves the bootstrap estimators at both levels as well as the beta,
     which is shared by every estimator.
+
+    Only the per-stream work runs sample by sample: the resample draw and
+    its row of means (and of standard deviations when calibrating).  The
+    levels, the intervals and the tallies run once per block of
+    ``_BLOCK_ROWS`` samples.  Lengths and levels are summed in sample
+    order (``cumsum``), as a running total would, so every result is the
+    same to the last bit whatever the block size.
     """
     seed = SeedSpec(plan.master_seed)
     matrix = _draw(plan.model, (plan.N, plan.n), seed.child(1, r))
     theta = true_parameter(plan.model)
     needs_boot = calibrate or any(e in _BOOTSTRAP_KINDS for e in plan.estimators)
+    n_levels = 2 if calibrate else 1
 
-    tallies = [
-        ({e: 0 for e in plan.estimators}, {e: 0.0 for e in plan.estimators})
-        for _ in range(2 if calibrate else 1)
-    ]
-    beta_total = 0.0
-    for i in range(plan.N):
-        values = matrix[i]
-        boot_means = None
-        levels = (plan.alpha,)
+    covers = np.zeros((n_levels, len(plan.estimators)), dtype=np.int64)
+    lengths = np.empty((n_levels, len(plan.estimators), plan.N))
+    betas = np.empty(plan.N)
+    means = np.empty((_BLOCK_ROWS, plan.B))
+    sds = np.empty((_BLOCK_ROWS, plan.B))
+    for start in range(0, plan.N, _BLOCK_ROWS):
+        rows = matrix[start:start + _BLOCK_ROWS]
+        m = rows.shape[0]
         if needs_boot:
-            boot = bootstrap_resamples(values, plan.B, seed.child(2, r, i))
-            boot_means = boot.mean(axis=1)
-            if calibrate:
-                sds = boot.std(axis=1, ddof=1)
-                beta = _beta_from_lambdas(_lambdas(values, boot_means, sds), plan.alpha)
-                beta_total += beta
-                levels = (plan.alpha, beta)
-        for level, (covers, lengths) in zip(levels, tallies):
-            for e in plan.estimators:
-                ci = _issue_interval(e, values, level, boot_means)
-                covers[e] += ci.contains(theta)
-                lengths[e] += ci.length
+            for j in range(m):
+                boot = bootstrap_resamples(rows[j], plan.B, seed.child(2, r, start + j))
+                means[j] = boot.mean(axis=1)
+                if calibrate:
+                    sds[j] = boot.std(axis=1, ddof=1)
+        levels = [plan.alpha]
+        if calibrate:
+            beta = _beta_from_lambdas(_lambdas(rows, means[:m], sds[:m]), plan.alpha)
+            betas[start:start + m] = beta
+            levels.append(beta)
+        for k, level in enumerate(levels):
+            for j, e in enumerate(plan.estimators):
+                ci = _issue_interval(e, rows, level, means[:m])
+                covers[k, j] += np.count_nonzero(ci.contains(theta))
+                lengths[k, j, start:start + m] = ci.length
+
     per_level = [
-        {e: (covers[e] / plan.N, lengths[e] / plan.N) for e in plan.estimators}
-        for covers, lengths in tallies
+        {
+            e: (int(covers[k, j]) / plan.N, float(np.cumsum(lengths[k, j])[-1]) / plan.N)
+            for j, e in enumerate(plan.estimators)
+        }
+        for k in range(n_levels)
     ]
     if calibrate:
-        return per_level[0], per_level[1], beta_total / plan.N
+        return per_level[0], per_level[1], float(np.cumsum(betas)[-1]) / plan.N
     return per_level[0], {}, math.nan
 
 
@@ -296,15 +311,17 @@ def _map_replications(fn, R: int, n_workers: int) -> list:
 def _collect(
     plan: SimulationPlan, raw: list[dict[str, tuple[float, float]]], estimators
 ) -> dict[str, tuple[list[ReplicationResult], IndexSummary]]:
-    cfg = plan.index_config
+    # one compute_index_array call per estimator scores its R pairs with
+    # the bits compute_index gives each pair
     out = {}
     for e in estimators:
-        results = []
-        for rep in raw:
-            cov, length = rep[e]
-            idx = compute_index(IntervalPerformance(cov, length), cfg)
-            results.append(ReplicationResult(e, cov, length, idx))
-        out[e] = (results, _summary_for_study([res.index for res in results]))
+        coverage = [rep[e][0] for rep in raw]
+        length = [rep[e][1] for rep in raw]
+        index = compute_index_array(coverage, length, plan.index_config)
+        results = [
+            ReplicationResult(e, c, ell, i) for c, ell, i in zip(coverage, length, index.tolist())
+        ]
+        out[e] = (results, _summary_for_study(index))
     return out
 
 

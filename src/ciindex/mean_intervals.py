@@ -6,9 +6,17 @@ accelerated (BCa) bootstrap interval.  All four return a
 :class:`ConfidenceInterval` and are pure functions of (sample, alpha) and,
 for the bootstrap pair, of a :class:`~ciindex.sampling.SeedSpec`.
 
-The two bootstrap estimators accept precomputed resample means through
-the ``*_from_boot_means`` variants so a caller scoring both on one sample
-can draw the resamples once and share them.
+Each estimator takes one sample, shape ``(n,)``, or a block of samples,
+shape ``(m, n)`` with one sample per row; ``alpha`` is one level, or an
+array of one level per row.  A block gives a :class:`ConfidenceInterval`
+with ``(m,)`` endpoint arrays whose row i equals, bit for bit, the
+interval of row i on its own, so the simulation harness issues each
+estimator once per block of samples.  One sample gives float endpoints.
+
+The two bootstrap estimators accept precomputed resample means, shape
+``(B,)`` or ``(m, B)``, through the ``*_from_boot_means`` variants so a
+caller scoring both on one sample can draw the resamples once and share
+them.
 """
 
 from __future__ import annotations
@@ -40,82 +48,129 @@ MEAN_ESTIMATORS = ("normal_theory", "johnson_t", "bootstrap_percentile", "bca")
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
-    """Closed interval [lower, upper] for a scalar parameter."""
+    """Closed interval [lower, upper] for a scalar parameter.
 
-    lower: float
-    upper: float
+    For a block of samples the endpoints are ``(m,)`` arrays, one interval
+    per row; :attr:`length` and :meth:`contains` then work elementwise.
+    """
+
+    lower: float | np.ndarray
+    upper: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+        if isinstance(self.lower, (float, int)):
+            finite = math.isfinite(self.lower) and math.isfinite(self.upper)
+            ordered = self.lower <= self.upper
+        else:
+            finite = bool(np.isfinite(self.lower).all() and np.isfinite(self.upper).all())
+            ordered = not (self.lower > self.upper).any()
+        if not finite:
             raise DomainError(f"interval endpoints must be finite, got ({self.lower!r}, {self.upper!r})")
-        if self.lower > self.upper:
+        if not ordered:
             raise DomainError(f"lower {self.lower!r} exceeds upper {self.upper!r}")
 
     @property
-    def length(self) -> float:
+    def length(self) -> float | np.ndarray:
         return self.upper - self.lower
 
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
+    def contains(self, value: float) -> bool | np.ndarray:
+        return (self.lower <= value) & (value <= self.upper)
 
 
-def _as_sample(sample, min_n: int) -> np.ndarray:
+def _interval(lower, upper) -> ConfidenceInterval:
+    # one sample's endpoints come back as floats, a block's as arrays
+    if np.ndim(lower) == 0:
+        return ConfidenceInterval(float(lower), float(upper))
+    return ConfidenceInterval(lower, upper)
+
+
+def _as_block(sample, min_n: int) -> np.ndarray:
     values = np.asarray(sample, dtype=float)
-    if values.ndim != 1:
-        raise DomainError("sample must be one-dimensional")
-    if values.size < min_n:
-        raise InsufficientDataError(f"need at least {min_n} observations, got {values.size}")
+    if values.ndim not in (1, 2):
+        raise DomainError("sample must be one sample (n,) or a block of samples (m, n)")
+    if values.shape[-1] < min_n:
+        raise InsufficientDataError(f"need at least {min_n} observations, got {values.shape[-1]}")
     return values
 
 
-def sample_skewness(sample) -> float:
+def _as_sample(sample, min_n: int) -> np.ndarray:
+    values = _as_block(sample, min_n)
+    if values.ndim != 1:
+        raise DomainError("sample must be one-dimensional")
+    return values
+
+
+def _as_means(boot_means) -> np.ndarray:
+    means = np.asarray(boot_means, dtype=float)
+    if means.ndim not in (1, 2):
+        raise DomainError("bootstrap means must have shape (B,) or (m, B)")
+    if means.shape[-1] < 2:
+        raise InsufficientDataError("need at least 2 bootstrap means")
+    return means
+
+
+def _check_levels(alpha, block: np.ndarray) -> None:
+    # one level for every row, or an array holding one level per row
+    if isinstance(alpha, np.ndarray) and alpha.ndim and alpha.shape != block.shape[:-1]:
+        raise DomainError(f"alpha must be one level or one per row, got shape {alpha.shape}")
+    _check_prob_open(alpha, "alpha")
+
+
+def _pow_1_5(x) -> np.ndarray:
+    # x ** 1.5 through the C library pow, one element at a time, as the
+    # float arithmetic of one sample does; numpy's vector pow (SVML on
+    # AVX-512 hosts) can differ from it in the last bit
+    return np.array([v**1.5 for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
+def sample_skewness(sample) -> float | np.ndarray:
     """Moment skewness m3 / m2^(3/2) with 1/n central moments.
 
-    Zero-variance samples return 0 so downstream shifts vanish.
+    A block gives one value per row.  Zero-variance samples return 0 so
+    downstream shifts vanish.
     """
-    values = _as_sample(sample, 1)
-    centered = values - values.mean()
-    m2 = float(np.mean(centered**2))
-    if m2 == 0.0:
-        return 0.0
-    m3 = float(np.mean(centered**3))
-    return m3 / m2**1.5
+    values = _as_block(sample, 1)
+    centered = values - values.mean(axis=-1, keepdims=True)
+    m2 = np.asarray(np.mean(centered**2, axis=-1))
+    m3 = np.mean(centered**3, axis=-1)
+    skew = np.divide(m3, _pow_1_5(m2), out=np.zeros(m2.shape), where=m2 != 0.0)
+    return float(skew) if skew.ndim == 0 else skew
 
 
-def normal_theory_interval(sample, alpha: float) -> ConfidenceInterval:
-    """z interval: mean +/- z_{1-alpha/2} * s / sqrt(n).
+def normal_theory_interval(sample, alpha: float | np.ndarray) -> ConfidenceInterval:
+    """z interval: mean +/- z_{1-alpha/2} * s / sqrt(n), per sample.
 
     ``s`` is the unbiased (n-1 denominator) standard deviation.  A
     zero-variance sample yields the degenerate interval at the mean.
     """
-    _check_prob_open(alpha, "alpha")
-    values = _as_sample(sample, 2)
-    n = values.size
-    center = float(values.mean())
-    half = normal_quantile(1.0 - alpha / 2.0) * float(values.std(ddof=1)) / math.sqrt(n)
-    return ConfidenceInterval(center - half, center + half)
+    values = _as_block(sample, 2)
+    _check_levels(alpha, values)
+    center = values.mean(axis=-1)
+    s = values.std(axis=-1, ddof=1)
+    half = normal_quantile(1.0 - alpha / 2.0) * s / math.sqrt(values.shape[-1])
+    return _interval(center - half, center + half)
 
 
-def johnson_t_interval(sample, alpha: float) -> ConfidenceInterval:
-    """t interval with a skewness-dependent center shift.
+def johnson_t_interval(sample, alpha: float | np.ndarray) -> ConfidenceInterval:
+    """t interval with a skewness-dependent center shift, per sample.
 
     Center is ``mean + s * skew * (1 + 2 t^2) / (6 n)`` and half-width is
     ``t * s / sqrt(n)`` with ``t = t_{1-alpha/2, n-1}``; the shift scales
     with the sample spread so the interval is equivariant under affine
     changes of units, and it vanishes for symmetric samples, recovering
-    the usual t interval.  Right-skewed data shift the interval right.
+    the usual t interval.  Right-skewed data shift the interval right.  A
+    zero-variance sample has zero skewness and zero half-width, so it
+    yields the degenerate interval at the mean.
     """
-    _check_prob_open(alpha, "alpha")
-    values = _as_sample(sample, 3)
-    n = values.size
-    mean = float(values.mean())
-    s = float(values.std(ddof=1))
-    if s == 0.0:
-        return ConfidenceInterval(mean, mean)
+    values = _as_block(sample, 3)
+    _check_levels(alpha, values)
+    n = values.shape[-1]
+    mean = values.mean(axis=-1)
+    s = values.std(axis=-1, ddof=1)
     t = student_t_quantile(1.0 - alpha / 2.0, n - 1)
     center = mean + s * sample_skewness(values) * (1.0 + 2.0 * t * t) / (6.0 * n)
     half = t * s / math.sqrt(n)
-    return ConfidenceInterval(center - half, center + half)
+    return _interval(center - half, center + half)
 
 
 def bootstrap_mean_draws(sample, B: int, seed: SeedSpec) -> np.ndarray:
@@ -131,20 +186,20 @@ def bootstrap_mean_draws(sample, B: int, seed: SeedSpec) -> np.ndarray:
     return bootstrap_resamples(values, B, seed).mean(axis=1)
 
 
-def _order_statistic(sorted_values: np.ndarray, p: float) -> float:
-    # ceil(p * B) order statistic, 1-indexed, clamped into [1, B]
-    B = sorted_values.size
-    k = min(max(math.ceil(p * B), 1), B)
-    return float(sorted_values[k - 1])
+def _order_statistic(sorted_values: np.ndarray, p) -> np.ndarray:
+    # ceil(p * B) order statistic of each row, 1-indexed, clamped into
+    # [1, B]; p is one probability or one per row
+    B = sorted_values.shape[-1]
+    k = np.clip(np.ceil(np.multiply(p, B)), 1, B).astype(np.intp)
+    k = np.broadcast_to(k, sorted_values.shape[:-1])
+    return np.take_along_axis(sorted_values, k[..., None] - 1, axis=-1)[..., 0]
 
 
-def percentile_from_boot_means(boot_means, alpha: float) -> ConfidenceInterval:
-    """Percentile interval from precomputed bootstrap means."""
-    _check_prob_open(alpha, "alpha")
-    means = np.sort(np.asarray(boot_means, dtype=float))
-    if means.size < 2:
-        raise InsufficientDataError("need at least 2 bootstrap means")
-    return ConfidenceInterval(
+def percentile_from_boot_means(boot_means, alpha: float | np.ndarray) -> ConfidenceInterval:
+    """Percentile interval from precomputed bootstrap means, per row."""
+    means = np.sort(_as_means(boot_means), axis=-1)
+    _check_levels(alpha, means)
+    return _interval(
         _order_statistic(means, alpha / 2.0),
         _order_statistic(means, 1.0 - alpha / 2.0),
     )
@@ -156,33 +211,32 @@ def bootstrap_percentile_interval(sample, alpha: float, B: int, seed: SeedSpec) 
     return percentile_from_boot_means(bootstrap_mean_draws(values, B, seed), alpha)
 
 
-def bca_from_boot_means(sample, boot_means, alpha: float) -> ConfidenceInterval:
+def bca_from_boot_means(sample, boot_means, alpha: float | np.ndarray) -> ConfidenceInterval:
     """BCa interval from precomputed bootstrap means of ``sample``.
 
-    Bias correction: ``z0 = Phi^{-1}(#{mean* < mean}/B)``, with counts of
-    0 and B nudged to 0.5 and B - 0.5 to keep z0 finite.  Acceleration
-    ``a`` comes from the jackknife third-moment formula; a zero
-    denominator falls back to a = 0, making the interval coincide with
-    the percentile interval when additionally z0 = 0.
+    For a block, row i of ``boot_means`` holds the resample means of row
+    i of ``sample``.  Bias correction: ``z0 = Phi^{-1}(#{mean* <
+    mean}/B)``, with counts of 0 and B nudged to 0.5 and B - 0.5 to keep
+    z0 finite.  Acceleration ``a`` comes from the jackknife third-moment
+    formula; a zero denominator falls back to a = 0, making the interval
+    coincide with the percentile interval when additionally z0 = 0.
     """
-    _check_prob_open(alpha, "alpha")
-    values = _as_sample(sample, 3)
-    means = np.sort(np.asarray(boot_means, dtype=float))
-    B = means.size
-    if B < 2:
-        raise InsufficientDataError("need at least 2 bootstrap means")
-    theta = float(values.mean())
+    values = _as_block(sample, 3)
+    means = np.sort(_as_means(boot_means), axis=-1)
+    if means.shape[:-1] != values.shape[:-1]:
+        raise DomainError("need one row of bootstrap means per sample")
+    _check_levels(alpha, values)
+    n, B = values.shape[-1], means.shape[-1]
+    theta = values.mean(axis=-1, keepdims=True)
 
-    count = float(np.count_nonzero(means < theta))
-    count = min(max(count, 0.5), B - 0.5)
-    z0 = normal_quantile(count / B)
+    count = np.count_nonzero(means < theta, axis=-1)
+    z0 = normal_quantile(np.clip(count, 0.5, B - 0.5) / B)
 
     # jackknife leave-one-out means via the identity (n*mean - x_i)/(n-1)
-    n = values.size
     loo = (n * theta - values) / (n - 1.0)
-    dev = loo.mean() - loo
-    denom = float(np.sum(dev**2)) ** 1.5
-    a = float(np.sum(dev**3)) / (6.0 * denom) if denom > 0.0 else 0.0
+    dev = loo.mean(axis=-1, keepdims=True) - loo
+    denom = _pow_1_5(np.sum(dev**2, axis=-1))
+    a = np.divide(np.sum(dev**3, axis=-1), 6.0 * denom, out=np.zeros(denom.shape), where=denom > 0.0)
 
     z_lo = normal_quantile(alpha / 2.0)
     z_hi = normal_quantile(1.0 - alpha / 2.0)
@@ -190,9 +244,7 @@ def bca_from_boot_means(sample, boot_means, alpha: float) -> ConfidenceInterval:
     a2 = normal_cdf(z0 + (z0 + z_hi) / (1.0 - a * (z0 + z_hi)))
     lo = _order_statistic(means, a1)
     hi = _order_statistic(means, a2)
-    if lo > hi:
-        lo, hi = hi, lo
-    return ConfidenceInterval(lo, hi)
+    return _interval(np.minimum(lo, hi), np.maximum(lo, hi))
 
 
 def bca_interval(sample, alpha: float, B: int, seed: SeedSpec) -> ConfidenceInterval:

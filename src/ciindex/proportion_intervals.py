@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import DomainError
 from .index import IntervalPerformance
@@ -205,6 +204,10 @@ def exact_performance(kind: str, n: int, p: float, alpha: float) -> IntervalPerf
     if not (isinstance(n, int) and 1 <= n <= 10**4):
         raise DomainError(f"n must be an integer in [1, 10^4], got {n!r}")
     _check_prob_open(p)
+    # imported here: scipy.stats costs more to import than the rest of the
+    # package together, and nothing else uses it
+    from scipy import stats
+
     pmf = stats.binom.pmf(np.arange(n + 1), n, p)
     coverage, length = _weighted_outcomes(kind, n, p, alpha, pmf)
     return IntervalPerformance(min(coverage, 1.0), length)

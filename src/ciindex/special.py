@@ -3,7 +3,9 @@
 Thin, validated wrappers over ``scipy.special``: the standard normal
 distribution function, and the normal, Student t, chi-square, and beta
 quantiles.  All functions are pure and accept Python floats; they return
-plain floats (:func:`normal_cdf_array` works on arrays).
+plain floats.  :func:`normal_cdf`, :func:`normal_quantile` and
+:func:`student_t_quantile` also take an array, checked and evaluated
+elementwise, and return an array.
 
 Boundary conventions (needed by estimators at the edge of their support):
 
@@ -25,55 +27,59 @@ __all__ = [
     "beta_quantile",
     "chi_square_quantile",
     "normal_cdf",
-    "normal_cdf_array",
     "normal_quantile",
     "student_t_quantile",
 ]
 
 
-def _check_prob_open(p: float, name: str = "p") -> None:
-    if not (isinstance(p, (int, float)) and math.isfinite(p)) or not 0.0 < p < 1.0:
+def _check_prob_open(p, name: str = "p") -> None:
+    # a number, or an array checked elementwise; NaN and infinities fail
+    # the comparisons
+    if isinstance(p, (int, float)):
+        ok = 0.0 < p < 1.0
+    else:
+        ok = isinstance(p, np.ndarray) and bool(np.all((p > 0.0) & (p < 1.0)))
+    if not ok:
         raise DomainError(f"{name} must lie strictly between 0 and 1, got {p!r}")
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal distribution function Phi(x).
+def normal_cdf(x):
+    """Standard normal distribution function Phi(x), elementwise over an array.
 
     Parameters
     ----------
-    x : float
-        Finite evaluation point.
+    x : float or numpy.ndarray
+        Finite evaluation point(s).
 
     Returns
     -------
-    float
+    float or numpy.ndarray
         Phi(x) in [0, 1], accurate to well below 1e-12 absolute error.
     """
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"x must be a finite number, got {x!r}")
-    return float(_sp.ndtr(x))
+    if isinstance(x, np.ndarray):
+        finite = bool(np.isfinite(x).all())
+    else:
+        finite = isinstance(x, (int, float)) and math.isfinite(x)
+    if not finite:
+        raise DomainError(f"x must be finite, got {x!r}")
+    value = _sp.ndtr(x)
+    return value if isinstance(x, np.ndarray) else float(value)
 
 
-def normal_cdf_array(x):
-    """Elementwise Phi over a numpy array; values must be finite."""
-    values = np.asarray(x, dtype=float)
-    if values.size and not np.isfinite(values).all():
-        raise DomainError("all values must be finite")
-    return _sp.ndtr(values)
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse of :func:`normal_cdf` on (0, 1)."""
+def normal_quantile(p):
+    """Inverse of :func:`normal_cdf` on (0, 1), elementwise over an array."""
     _check_prob_open(p)
-    return float(_sp.ndtri(p))
+    q = _sp.ndtri(p)
+    return float(q) if isinstance(p, float) else q
 
 
-def student_t_quantile(p: float, df: float) -> float:
-    """Student t quantile with ``df`` degrees of freedom."""
+def student_t_quantile(p, df: float):
+    """Student t quantile with ``df`` degrees of freedom, elementwise in ``p``."""
     _check_prob_open(p)
     if df <= 0:
         raise DomainError(f"df must be positive, got {df!r}")
-    return float(_sp.stdtrit(df, p))
+    q = _sp.stdtrit(df, p)
+    return float(q) if isinstance(p, float) else q
 
 
 def chi_square_quantile(p: float, df: float) -> float:

@@ -43,6 +43,33 @@ def test_every_traced_target_exists():
     assert tracer.Tracer(tracer.targets(ciindex)).missing == []
 
 
+MEAN_SPANS = (
+    "mean_intervals.normal_theory",
+    "mean_intervals.johnson_t",
+    "mean_intervals.percentile",
+    "mean_intervals.bca",
+)
+
+
+def test_studies_call_the_traced_names():
+    # perfbench reads these counts; a study that reaches a kernel under
+    # another name reports them as 0 and drops the per-estimator timings
+    tracer = _load_tracer()
+    plan = ciindex.SimulationPlan(
+        model=ciindex.normal_model(2.0, 1.0), n=10, N=20, B=20, R=2, alpha=ALPHA,
+        estimators=ciindex.MEAN_ESTIMATORS, master_seed=20260815,
+    )
+    for run, calibrate in ((ciindex.run_mean_study, False), (ciindex.run_calibration_study, True)):
+        traced = tracer.Tracer(tracer.targets(ciindex))
+        with traced.installed():
+            run(plan)
+        for span in MEAN_SPANS + ("special.normal_quantile",):
+            assert traced.calls[span] > 0, (run.__name__, span)
+        if calibrate:
+            assert traced.calls["calibration.lambdas"] > 0 and traced.calls["calibration.beta"] > 0
+        assert traced.calls["sampling.generator"] == plan.R * (plan.N + 1), run.__name__
+
+
 def test_setup_probe_names_exist_in_cli():
     names = _patched_cli_names()
     assert names == ["run_mean_study", "run_calibration_study", "run_proportion_study", "apply_index"]

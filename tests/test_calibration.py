@@ -1,6 +1,7 @@
 """Working-level calibration: quantile rule, floor, resample reuse."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -88,6 +89,21 @@ def test_calibrated_interval_reuses_resample_set(kind):
         "bca": bca_from_boot_means(values, means, res.beta),
     }
     assert ci == want[kind]
+
+
+@pytest.mark.parametrize("kind", MEAN_ESTIMATORS)
+def test_calibrated_interval_draws_resample_set_once(kind, monkeypatch):
+    # the level and the bootstrap pair's resample means come from one draw
+    opened = Counter()
+    generator = SeedSpec.generator
+
+    def counting(self):
+        opened[self.stream_path] += 1
+        return generator(self)
+
+    monkeypatch.setattr(SeedSpec, "generator", counting)
+    calibrated_interval(kind, SAMPLE, 0.05, 300, SEED)
+    assert opened == Counter({(2, 0, 0): 1})
 
 
 def test_calibrated_interval_widens_at_smaller_beta():

@@ -337,3 +337,17 @@ def test_python_m_ciindex_matches_main(tmp_path):
     assert main(["simulate-proportion", "--config", config, "--out", str(tmp_path / "here")]) == EXIT_OK
     written = (tmp_path / "child" / "results.csv").read_bytes()
     assert written == (tmp_path / "here" / "results.csv").read_bytes()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is imported only by exact_performance; a fresh process
+    # is needed because this suite itself loads it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ciindex, ciindex.cli; print('scipy.stats' in sys.modules)"],
+        cwd=REPO, env=env, capture_output=True, text=True, check=False,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"

@@ -16,7 +16,12 @@ from ciindex import (
     normal_theory_interval,
     proportion_interval,
 )
-from ciindex.mean_intervals import bootstrap_mean_draws, percentile_from_boot_means
+from ciindex.calibration import _beta_from_lambdas, _lambdas
+from ciindex.mean_intervals import (
+    bca_from_boot_means,
+    bootstrap_mean_draws,
+    percentile_from_boot_means,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 SEED = SeedSpec(20260815, (2, 0, 0))
@@ -65,3 +70,71 @@ def test_proportion_intervals_stay_in_unit_interval(case):
     for kind in PROPORTION_ESTIMATORS:
         ci = proportion_interval(kind, obs, alpha)
         assert 0.0 <= ci.lower <= ci.upper <= 1.0
+
+
+@st.composite
+def _block_cases(draw):
+    # a block of m samples with their resample means and sds; small
+    # integer data gives tied values and tied resample means, and some
+    # rows are constant (zero variance).  Rows longer than numpy's
+    # 128-element summation block come from the generator, rounded to
+    # integers so they hold ties too
+    m = draw(st.integers(1, 6))
+    n = draw(st.one_of(st.integers(3, 12), st.just(300)))
+    B = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    value = st.one_of(st.integers(-3, 3).map(float), st.floats(-100.0, 100.0))
+    rows = []
+    for _ in range(m):
+        if n > 12:
+            row = rng.normal(0.0, 10.0, n).round().tolist()
+        else:
+            row = draw(st.lists(value, min_size=n, max_size=n))
+        if draw(st.booleans()) and draw(st.booleans()):
+            row = [row[0]] * n
+        rows.append(row)
+    values = np.array(rows)
+    boot = values[np.arange(m)[:, None, None], rng.integers(0, n, size=(m, B, n))]
+    level = st.floats(0.001, 0.5)
+    if draw(st.booleans()):
+        alpha = draw(level)
+    else:
+        alpha = np.array(draw(st.lists(level, min_size=m, max_size=m)))
+    return values, boot.mean(axis=2), boot.std(axis=2, ddof=1), alpha
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+# the harness issues every estimator and the level rule once per block of
+# samples; each row of a block call must be the one-sample call, bit for bit
+@PROPERTY
+@given(_block_cases())
+def test_block_calls_equal_their_one_row_calls(case):
+    values, means, sds, alpha = case
+    rows = range(values.shape[0])
+    level = [alpha if np.ndim(alpha) == 0 else float(alpha[i]) for i in rows]
+    block = {
+        "normal_theory": normal_theory_interval(values, alpha),
+        "johnson_t": johnson_t_interval(values, alpha),
+        "percentile": percentile_from_boot_means(means, alpha),
+        "bca": bca_from_boot_means(values, means, alpha),
+    }
+    one = {
+        "normal_theory": [normal_theory_interval(values[i], level[i]) for i in rows],
+        "johnson_t": [johnson_t_interval(values[i], level[i]) for i in rows],
+        "percentile": [percentile_from_boot_means(means[i], level[i]) for i in rows],
+        "bca": [bca_from_boot_means(values[i], means[i], level[i]) for i in rows],
+    }
+    for name, ci in block.items():
+        assert _bits(ci.lower) == _bits([row.lower for row in one[name]]), name
+        assert _bits(ci.upper) == _bits([row.upper for row in one[name]]), name
+        for i in rows:
+            assert isinstance(one[name][i].lower, float)
+
+    lambdas = _lambdas(values, means, sds)
+    assert _bits(lambdas) == _bits([_lambdas(values[i], means[i], sds[i]) for i in rows])
+    for a in (0.05, level[0]):
+        betas = _beta_from_lambdas(lambdas, a)
+        assert _bits(betas) == _bits([_beta_from_lambdas(lambdas[i], a) for i in rows])

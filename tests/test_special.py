@@ -10,7 +10,6 @@ from ciindex.special import (
     beta_quantile,
     chi_square_quantile,
     normal_cdf,
-    normal_cdf_array,
     normal_quantile,
     student_t_quantile,
 )
@@ -40,12 +39,12 @@ def test_normal_quantile_anchor():
 
 def test_normal_cdf_array_matches_scalar():
     xs = np.array([-2.0, -0.5, 0.0, 1.0, 3.0])
-    out = normal_cdf_array(xs)
+    out = normal_cdf(xs)
     assert out.shape == xs.shape
     for x, v in zip(xs, out):
         assert v == normal_cdf(float(x))
     with pytest.raises(DomainError):
-        normal_cdf_array(np.array([0.0, math.nan]))
+        normal_cdf(np.array([0.0, math.nan]))
 
 
 def _t_cdf_mpmath(x, df):
