@@ -27,7 +27,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ import numpy
 import scipy
 
 from . import __version__
-from .errors import CiindexError, ConfigError
+from .errors import CiindexError, ConfigError, DomainError
 from .harness import (
     DEFAULT_SKIP_DELTA,
     DESK_SCALE,
@@ -47,7 +46,7 @@ from .harness import (
     run_mean_study,
     run_proportion_study,
 )
-from .index import IndexConfig, IntervalPerformance, compute_index
+from .index import IndexConfig, IntervalPerformance, compute_index, compute_index_array
 from .mean_intervals import MEAN_ESTIMATORS
 from .proportion_intervals import PROPORTION_ESTIMATORS
 from .sampling import DataModel, binomial_model, lognormal_model, normal_model
@@ -64,7 +63,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
-_MODES = ("simulate-mean", "simulate-proportion", "calibrate", "apply", "plot-data")
 _SCALES = {"desk": DESK_SCALE, "paper": PAPER_SCALE}
 
 _ALLOWED_KEYS = {
@@ -88,14 +86,10 @@ class ExternalPerformanceRow:
     def __post_init__(self) -> None:
         if not self.estimator_label:
             raise ConfigError("estimator label must be nonempty")
-        if not (isinstance(self.coverage, float) and 0.0 <= self.coverage <= 1.0):
-            raise ConfigError(f"coverage must lie in [0, 1], got {self.coverage!r}")
-        if not (
-            isinstance(self.mean_length, float)
-            and math.isfinite(self.mean_length)
-            and self.mean_length >= 0.0
-        ):
-            raise ConfigError(f"length must be finite and >= 0, got {self.mean_length!r}")
+        try:
+            IntervalPerformance(self.coverage, self.mean_length)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -118,9 +112,9 @@ def apply_index(rows: list[ExternalPerformanceRow], cfg: IndexConfig) -> list[Re
     """
     if not rows:
         raise ConfigError("apply_index needs at least one row")
-    indexes = [
-        compute_index(IntervalPerformance(row.coverage, row.mean_length), cfg) for row in rows
-    ]
+    indexes = compute_index_array(
+        [row.coverage for row in rows], [row.mean_length for row in rows], cfg
+    ).tolist()
     ranks: dict[int, int] = {}
     by_group: dict[tuple, list[int]] = {}
     for pos, row in enumerate(rows):
@@ -614,7 +608,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Score and compare confidence-interval estimators with a single index.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for mode in _MODES:
+    for mode in _RUNNERS:
         p = sub.add_parser(mode, help=f"run the {mode} mode")
         p.add_argument("--config", required=True, help="INI config path (schema = 1)")
         p.add_argument("--out", default=".", help="output directory (default: current)")

@@ -31,9 +31,9 @@ from functools import partial
 
 import numpy as np
 
-from .calibration import _beta_from_lambdas, _lambdas, _resample_stats
+from .calibration import _beta_from_lambdas, _lambdas, _resample_stats, _row_sds
 from .errors import ConfigError, DomainError, InsufficientDataError
-from .index import IndexConfig, IntervalPerformance, compute_index, compute_index_array
+from .index import IndexConfig, IntervalPerformance, compute_index_array
 from .mean_intervals import (
     MEAN_ESTIMATORS,
     ConfidenceInterval,
@@ -135,10 +135,7 @@ class ReplicationResult:
     index: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.coverage <= 1.0:
-            raise DomainError(f"coverage must lie in [0, 1], got {self.coverage!r}")
-        if not (math.isfinite(self.mean_length) and self.mean_length >= 0.0):
-            raise DomainError(f"mean_length must be finite and >= 0, got {self.mean_length!r}")
+        IntervalPerformance(self.coverage, self.mean_length)
         if not math.isfinite(self.index):
             raise DomainError(f"index must be finite, got {self.index!r}")
 
@@ -148,7 +145,8 @@ class IndexSummary:
     """Mean, shape, and spread of a set of index values.
 
     ``skewness`` and ``kurtosis`` (excess, so a normal law scores 0) are
-    NaN when undefined, e.g. for zero-variance inputs.
+    NaN when undefined: for fewer than 3 values or zero variance.
+    ``st_dev`` is NaN for a single value.
     """
 
     mean: float
@@ -185,28 +183,21 @@ def summarize_index(values) -> IndexSummary:
     """Mean, sample st.dev, moment skewness, excess kurtosis.
 
     Central moments use the 1/n convention; the standard deviation uses
-    the n-1 denominator.  Zero-variance inputs get NaN shape statistics.
+    the n-1 denominator.  Fewer than 3 values, or zero variance, give NaN
+    shape statistics; a single value also gives a NaN standard deviation.
     """
     data = np.asarray(values, dtype=float)
-    if data.ndim != 1 or data.size < 3:
-        raise InsufficientDataError("need at least 3 values to summarize")
+    if data.ndim != 1 or data.size == 0:
+        raise InsufficientDataError("need at least one value to summarize")
     mean = float(data.mean())
+    st_dev = float(data.std(ddof=1)) if data.size > 1 else math.nan
     centered = data - mean
     m2 = float(np.mean(centered**2))
-    if m2 == 0.0:
-        return IndexSummary(mean=mean, skewness=math.nan, kurtosis=math.nan, st_dev=0.0)
+    if data.size < 3 or m2 == 0.0:
+        return IndexSummary(mean=mean, skewness=math.nan, kurtosis=math.nan, st_dev=st_dev)
     g1 = float(np.mean(centered**3)) / m2**1.5
     g2 = float(np.mean(centered**4)) / m2**2 - 3.0
-    return IndexSummary(mean=mean, skewness=g1, kurtosis=g2, st_dev=float(data.std(ddof=1)))
-
-
-def _summary_for_study(values) -> IndexSummary:
-    # R < 3 studies still need a summary object; shape stats are undefined
-    data = np.asarray(values, dtype=float)
-    if data.size >= 3:
-        return summarize_index(data)
-    sd = float(data.std(ddof=1)) if data.size == 2 else math.nan
-    return IndexSummary(mean=float(data.mean()), skewness=math.nan, kurtosis=math.nan, st_dev=sd)
+    return IndexSummary(mean=mean, skewness=g1, kurtosis=g2, st_dev=st_dev)
 
 
 def _issue_interval(kind: str, values: np.ndarray, alpha: float, boot_means):
@@ -277,7 +268,7 @@ def _replication(
                 boot = bootstrap_resamples(rows[j], plan.B, seed.child(2, r, start + j))
                 means[j] = boot.mean(axis=1)
                 if calibrate:
-                    sds[j] = boot.std(axis=1, ddof=1)
+                    sds[j] = _row_sds(boot, means[j])
         levels = [plan.alpha]
         if calibrate:
             beta = _beta_from_lambdas(_lambdas(rows, means[:m], sds[:m]), plan.alpha)
@@ -311,8 +302,6 @@ def _map_replications(fn, R: int, n_workers: int) -> list:
 def _collect(
     plan: SimulationPlan, raw: list[dict[str, tuple[float, float]]], estimators
 ) -> dict[str, tuple[list[ReplicationResult], IndexSummary]]:
-    # one compute_index_array call per estimator scores its R pairs with
-    # the bits compute_index gives each pair
     out = {}
     for e in estimators:
         coverage = [rep[e][0] for rep in raw]
@@ -321,7 +310,7 @@ def _collect(
         results = [
             ReplicationResult(e, c, ell, i) for c, ell, i in zip(coverage, length, index.tolist())
         ]
-        out[e] = (results, _summary_for_study(index))
+        out[e] = (results, summarize_index(index))
     return out
 
 
@@ -392,15 +381,17 @@ def run_proportion_study(plan: SimulationPlan) -> dict[str, ReplicationResult]:
     if plan.model.kind != "binomial":
         raise ConfigError("run_proportion_study requires a binomial model")
     counts = _draw(plan.model, plan.R, SeedSpec(plan.master_seed).child(3))
-    weights = np.bincount(counts, minlength=plan.model.n_trials + 1)
+    weights = np.bincount(counts, minlength=plan.model.n_trials + 1).tolist()
 
     p = true_parameter(plan.model)
-    cfg = plan.index_config
-    out = {}
-    for e in plan.estimators:
-        cover, length = _weighted_outcomes(e, plan.model.n_trials, p, plan.alpha, weights.tolist())
-        coverage = cover / plan.R
-        mean_length = length / plan.R
-        idx = compute_index(IntervalPerformance(coverage, mean_length), cfg)
-        out[e] = ReplicationResult(e, coverage, mean_length, idx)
-    return out
+    sums = [
+        _weighted_outcomes(e, plan.model.n_trials, p, plan.alpha, weights)
+        for e in plan.estimators
+    ]
+    coverage = [cover / plan.R for cover, _ in sums]
+    length = [total / plan.R for _, total in sums]
+    index = compute_index_array(coverage, length, plan.index_config)
+    return {
+        e: ReplicationResult(e, c, ell, i)
+        for e, c, ell, i in zip(plan.estimators, coverage, length, index.tolist())
+    }

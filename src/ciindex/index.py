@@ -49,8 +49,8 @@ class IndexConfig:
     loss : str
         ``"absolute"`` or ``"squared"`` coverage-deviation penalty.
     rescaled : bool
-        When true, index values are affinely mapped so the attainable
-        range starts at 0 instead of ``k_alpha * alpha / 2``.
+        When true, index values are affinely mapped so the lower end of
+        :func:`index_range` goes to 0.
     """
 
     alpha: float = 0.05
@@ -91,21 +91,19 @@ def compute_index(perf: IntervalPerformance, cfg: IndexConfig) -> float:
     """Index of one (coverage, mean length) pair under ``cfg``.
 
     Total on its domain: any coverage in [0, 1] and any nonnegative
-    length produce a finite value.  Evaluated by
-    :func:`compute_index_array`; with ``cfg.rescaled`` the affine map of
-    :func:`rescale_index`, range check included, is applied to the result.
+    length produce a finite value.  The one-pair case of
+    :func:`compute_index_array`.
     """
-    raw = IndexConfig(cfg.alpha, cfg.loss) if cfg.rescaled else cfg
-    value = float(compute_index_array(perf.coverage, perf.mean_length, raw))
-    return rescale_index(value, cfg) if cfg.rescaled else value
+    return float(compute_index_array(perf.coverage, perf.mean_length, cfg))
 
 
 def compute_index_array(coverage, mean_length, cfg: IndexConfig):
-    """Vectorized :func:`compute_index` over numpy arrays.
+    """The index of every (coverage, mean length) pair, as a float64 array.
 
-    ``coverage`` and ``mean_length`` broadcast against each other; the
-    result is a float64 array.  Inputs must already satisfy the domain
-    (coverage in [0, 1], length >= 0).
+    ``coverage`` and ``mean_length`` broadcast against each other and must
+    already satisfy the domain (coverage in [0, 1], length >= 0).  With
+    ``cfg.rescaled`` the values go through :func:`rescale_index`, range
+    check included.
     """
     eta = np.asarray(coverage, dtype=float)
     length = np.asarray(mean_length, dtype=float)
@@ -116,49 +114,61 @@ def compute_index_array(coverage, mean_length, cfg: IndexConfig):
     dev = 1.0 - cfg.alpha - eta
     h = np.abs(dev) if cfg.loss == "absolute" else dev * dev
     value = k_alpha(cfg.alpha) * (1.0 - 0.5 * (1.0 + h) / (1.0 + eta / (1.0 + length)))
-    if cfg.rescaled:
-        lo, _ = index_range(IndexConfig(cfg.alpha, cfg.loss, rescaled=False))
-        value = (value - lo) / (1.0 - lo)
-    return value
+    return rescale_index(value, cfg) if cfg.rescaled else value
 
 
 def index_range(cfg: IndexConfig) -> tuple[float, float]:
     """Nominal (lower, upper) endpoints of the index for ``cfg.loss``.
 
-    Absolute loss: ``(k_alpha * alpha / 2, 1)``, which is exactly the
-    attainable range.  Squared loss: ``(alpha (2 - alpha)^2 / (3 - 2
-    alpha), 1)``; the lower endpoint is attained but values slightly above
-    1 are possible near zero length with coverage above nominal (see
-    :func:`rescale_index`).
+    The lower end is the infimum over all coverages and lengths:
+    ``k_alpha * min(alpha, 1 - alpha) / 2`` under absolute loss, and
+    ``alpha (2 - alpha)^2 / (3 - 2 alpha)`` (for alpha <= 0.5) or
+    ``k_alpha * (1 - alpha^2) / 2`` (above) under squared loss.  For
+    alpha <= 0.5 it is attained at zero coverage; above 0.5 it is only
+    approached, at full coverage as the length grows without bound.  The
+    upper end 1 is the value at zero length and nominal coverage, and the
+    supremum under absolute loss; under squared loss values slightly
+    above 1 are possible near zero length with coverage above nominal
+    (see :func:`rescale_index`).
     """
+    k = k_alpha(cfg.alpha)
     if cfg.loss == "absolute":
-        lo = k_alpha(cfg.alpha) * cfg.alpha / 2.0
-    else:
+        lo = k * min(cfg.alpha, 1.0 - cfg.alpha) / 2.0
+    elif cfg.alpha <= 0.5:
         lo = cfg.alpha * (2.0 - cfg.alpha) ** 2 / (3.0 - 2.0 * cfg.alpha)
+    else:
+        lo = k * (1.0 - cfg.alpha * cfg.alpha) / 2.0
     return (lo, 1.0)
 
 
 def _squared_sup(alpha: float) -> float:
-    # supremum of the squared-loss index, reached as length -> 0 and
-    # coverage -> 1: k_alpha * (1 - (1 + alpha^2) / 4)
-    return k_alpha(alpha) * (1.0 - (1.0 + alpha * alpha) / 4.0)
+    # supremum of the squared-loss index, reached at length 0: below
+    # alpha = 2 - sqrt(3) at coverage 1, k_alpha * (1 - (1 + alpha^2) / 4);
+    # from there on at coverage sqrt(1 + d^2) - 1 with d = 2 - alpha
+    if alpha < 2.0 - math.sqrt(3.0):
+        return k_alpha(alpha) * (1.0 - (1.0 + alpha * alpha) / 4.0)
+    d = 2.0 - alpha
+    return k_alpha(alpha) * (1.0 - math.sqrt(1.0 + d * d) + d)
 
 
-def rescale_index(i_value: float, cfg: IndexConfig) -> float:
+def rescale_index(i_value, cfg: IndexConfig):
     """Affine map sending ``index_range`` onto [0, 1].
 
     ``f(x) = (x - lo) / (1 - lo)`` with ``lo`` the loss-specific lower
-    endpoint, so ``f(lo) = 0`` and ``f(1) = 1`` exactly.  Inputs outside
-    the attainable values (1e-9 slack) raise.  Under squared loss the
-    attainable supremum exceeds 1 slightly, so rescaled values may exceed
-    1; they are passed through unchanged.
+    endpoint, so ``f(lo) = 0`` and ``f(1) = 1`` exactly.  ``i_value`` is
+    a float or an array of them, and the result has the same shape.
+    Inputs outside the attainable values (1e-9 slack) raise.  Under
+    squared loss the attainable supremum exceeds 1 slightly, so rescaled
+    values may exceed 1; they are passed through unchanged.
     """
     lo, hi = index_range(cfg)
     slack = 1e-9
     upper = hi if cfg.loss == "absolute" else _squared_sup(cfg.alpha)
-    if not (lo - slack <= i_value <= upper + slack):
+    values = np.asarray(i_value, dtype=float)
+    inside = (lo - slack <= values) & (values <= upper + slack)
+    if not inside.all():
         raise DomainError(
-            f"index value {i_value!r} outside [{lo}, {upper}] beyond slack"
+            f"index value {float(values[~inside][0])!r} outside [{lo}, {upper}] beyond slack"
         )
     return (i_value - lo) / (1.0 - lo)
 

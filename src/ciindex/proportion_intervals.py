@@ -40,21 +40,6 @@ __all__ = [
     "proportion_interval",
 ]
 
-# results-table row order
-PROPORTION_ESTIMATORS = (
-    "exact",
-    "wald",
-    "arcsin",
-    "arcsin_cc",
-    "pois",
-    "wilson",
-    "wilson_cc",
-    "bcg",
-    "agresti_coull",
-    "add4",
-    "mid_p",
-)
-
 
 @dataclass(frozen=True)
 class BinomialObservation:
@@ -70,14 +55,13 @@ class BinomialObservation:
             raise DomainError(f"x must be an integer in [0, {self.n}], got {self.x!r}")
 
 
-def _exact(n: int, x: int, alpha: float) -> tuple[float, float]:
+def _exact(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
     lo = beta_quantile(alpha / 2.0, x, n - x + 1)
     hi = beta_quantile(1.0 - alpha / 2.0, x + 1, n - x)
     return lo, hi
 
 
-def _wald(n: int, x: int, alpha: float) -> tuple[float, float]:
-    z = normal_quantile(1.0 - alpha / 2.0)
+def _wald(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
     ph = x / n
     h = z * math.sqrt(ph * (1.0 - ph) / n)
     return ph - h, ph + h
@@ -88,34 +72,30 @@ def _arcsin_pair(g: float, h: float) -> tuple[float, float]:
     return math.sin(t - h) ** 2, math.sin(t + h) ** 2
 
 
-def _arcsin(n: int, x: int, alpha: float) -> tuple[float, float]:
-    z = normal_quantile(1.0 - alpha / 2.0)
+def _arcsin(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
     g = min(max((x - 0.5) / n, 0.0), 1.0)
     return _arcsin_pair(g, z / (2.0 * math.sqrt(n)))
 
 
-def _arcsin_cc(n: int, x: int, alpha: float) -> tuple[float, float]:
-    z = normal_quantile(1.0 - alpha / 2.0)
+def _arcsin_cc(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
     g = min(max((x - 0.125) / (n + 0.75), 0.0), 1.0)
     return _arcsin_pair(g, z / (2.0 * math.sqrt(n + 0.5)))
 
 
-def _pois(n: int, x: int, alpha: float) -> tuple[float, float]:
+def _pois(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
     lo = chi_square_quantile(alpha / 2.0, 2 * x) / (2.0 * n)
     hi = chi_square_quantile(1.0 - alpha / 2.0, 2 * (x + 1)) / (2.0 * n)
     return lo, hi
 
 
-def _wilson(n: int, x: int, alpha: float) -> tuple[float, float]:
-    z = normal_quantile(1.0 - alpha / 2.0)
+def _wilson(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
     z2 = z * z
     mid = (x + z2 / 2.0) / (n + z2)
     h = (z / (n + z2)) * math.sqrt(x * (1.0 - x / n) + z2 / 4.0)
     return mid - h, mid + h
 
 
-def _wilson_cc(n: int, x: int, alpha: float) -> tuple[float, float]:
-    z = normal_quantile(1.0 - alpha / 2.0)
+def _wilson_cc(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
     z2 = z * z
     lo_arg = max(z2 - 2.0 - 1.0 / n + 4.0 * x * (1.0 - x / n + 1.0 / n), 0.0)
     hi_arg = max(z2 + 2.0 - 1.0 / n + 4.0 * x * (1.0 - x / n - 1.0 / n), 0.0)
@@ -124,35 +104,33 @@ def _wilson_cc(n: int, x: int, alpha: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _bcg(n: int, x: int, alpha: float) -> tuple[float, float]:
-    z = normal_quantile(1.0 - alpha / 2.0)
+def _bcg(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
     z2 = z * z
     mid = (x + z2 / 2.0) / (n + z2)
     h = z * math.sqrt(x / n**2 * (1.0 - x / n))
     return mid - h, mid + h
 
 
-def _agresti_coull(n: int, x: int, alpha: float) -> tuple[float, float]:
-    z = normal_quantile(1.0 - alpha / 2.0)
+def _agresti_coull(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
     z2 = z * z
     pt = (x + z2 / 2.0) / (n + z2)
     h = z * math.sqrt(pt * (1.0 - pt) / (n + z2))
     return pt - h, pt + h
 
 
-def _add4(n: int, x: int, alpha: float) -> tuple[float, float]:
-    z = normal_quantile(1.0 - alpha / 2.0)
+def _add4(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
     pt = (x + 2.0) / (n + 4.0)
     h = z * math.sqrt(pt * (1.0 - pt) / (n + 4.0))
     return pt - h, pt + h
 
 
-def _mid_p(n: int, x: int, alpha: float) -> tuple[float, float]:
+def _mid_p(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
     lo = beta_quantile(alpha / 2.0, x + 0.5, n - x + 0.5)
     hi = beta_quantile(1.0 - alpha / 2.0, x + 0.5, n - x + 0.5)
     return lo, hi
 
 
+# results-table row order
 _FORMULAS = {
     "exact": _exact,
     "wald": _wald,
@@ -166,29 +144,41 @@ _FORMULAS = {
     "add4": _add4,
     "mid_p": _mid_p,
 }
+PROPORTION_ESTIMATORS = tuple(_FORMULAS)
+
+
+def _z(kind: str, alpha: float) -> float:
+    # the checks and the normal quantile every interval of a sweep shares
+    if kind not in _FORMULAS:
+        raise DomainError(f"kind must be one of {PROPORTION_ESTIMATORS}, got {kind!r}")
+    _check_prob_open(alpha, "alpha")
+    return normal_quantile(1.0 - alpha / 2.0)
+
+
+def _clipped(kind: str, n: int, x: int, alpha: float, z: float) -> ConfidenceInterval:
+    lo, hi = _FORMULAS[kind](n, x, alpha, z)
+    return ConfidenceInterval(min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0))
 
 
 def proportion_interval(kind: str, obs: BinomialObservation, alpha: float) -> ConfidenceInterval:
     """Interval for the success probability, endpoints clipped to [0, 1]."""
-    if kind not in _FORMULAS:
-        raise DomainError(f"kind must be one of {PROPORTION_ESTIMATORS}, got {kind!r}")
-    _check_prob_open(alpha, "alpha")
-    lo, hi = _FORMULAS[kind](obs.n, obs.x, alpha)
-    return ConfidenceInterval(min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0))
+    return _clipped(kind, obs.n, obs.x, alpha, _z(kind, alpha))
 
 
 def _weighted_outcomes(kind: str, n: int, p: float, alpha: float, weights) -> tuple[float, float]:
     """Sums of ``w * [interval covers p]`` and ``w * length`` over x = 0..n.
 
     ``weights[x]`` weighs the outcome of x successes; outcomes of weight
-    zero are skipped without issuing their interval.
+    zero are skipped without issuing their interval.  The kind and alpha
+    are checked once, for the whole sweep.
     """
+    z = _z(kind, alpha)
     cover = 0.0
     length = 0.0
     for x, w in enumerate(weights):
         if w == 0:
             continue
-        ci = proportion_interval(kind, BinomialObservation(n, x), alpha)
+        ci = _clipped(kind, n, x, alpha, z)
         if ci.contains(p):
             cover += w
         length += w * ci.length

@@ -10,6 +10,7 @@ These tests read ``perfbench/`` and change nothing in it.
 import ast
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,11 @@ ALPHA = 0.05
 VALUES = np.array([1.9, 2.4, 0.7, 3.1, 2.2, 1.5, 2.8, 1.1, 4.0, 2.6])
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -39,7 +42,7 @@ def _patched_cli_names() -> list[str]:
 
 
 def test_every_traced_target_exists():
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     assert tracer.Tracer(tracer.targets(ciindex)).missing == []
 
 
@@ -54,7 +57,7 @@ MEAN_SPANS = (
 def test_studies_call_the_traced_names():
     # perfbench reads these counts; a study that reaches a kernel under
     # another name reports them as 0 and drops the per-estimator timings
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     plan = ciindex.SimulationPlan(
         model=ciindex.normal_model(2.0, 1.0), n=10, N=20, B=20, R=2, alpha=ALPHA,
         estimators=ciindex.MEAN_ESTIMATORS, master_seed=20260815,
@@ -109,3 +112,24 @@ def test_replay_calls_return_what_the_replay_reads():
     perf = ciindex.exact_performance("exact", 10, 0.3, ALPHA)
     assert 1.0 - ALPHA <= perf.coverage <= 1.0
     assert 0.0 < perf.mean_length <= 1.0
+
+
+def test_benchmark_configs_load_and_plan(tmp_path):
+    # a config key the CLI stops accepting would otherwise show only as
+    # every benchmark run exiting with code 2
+    workloads = _load("workloads")
+    cli = ciindex.cli
+    for name in workloads.NAMES:
+        workload = workloads.build(name, workloads.DEFAULT_SEED, PERFBENCH.parent)
+        for k, call in enumerate(workload.calls):
+            path = tmp_path / f"{name}-{k}.ini"
+            path.write_text(call.config, encoding="utf-8")
+            args = cli._build_parser().parse_args([call.mode, "--config", str(path)])
+            eff = cli._effective(args)
+            if call.mode in ("apply", "plot-data"):
+                assert cli._input_path(eff, "apply" if call.mode == "apply" else "plot").is_file()
+                continue
+            plan = cli._build_plan(eff, cli._build_model(eff.parser))
+            assert cli._workers(eff) == 1, (name, k)
+            if name == "calibrate_small_n":
+                assert plan.skip_delta == 0.0

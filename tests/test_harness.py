@@ -71,9 +71,18 @@ def test_summarize_index_constant_values():
     assert s.mean == 2.0
 
 
-def test_summarize_index_needs_three():
+def test_summarize_index_short_inputs():
+    # R = 1 and R = 2 studies are summarized too: the shape statistics are
+    # undefined below 3 values, and the standard deviation for 1
     with pytest.raises(InsufficientDataError):
-        summarize_index([0.1, 0.2])
+        summarize_index([])
+    one = summarize_index([0.3])
+    assert one.mean == 0.3
+    assert math.isnan(one.st_dev) and math.isnan(one.skewness) and math.isnan(one.kurtosis)
+    two = summarize_index([0.1, 0.2])
+    assert two.mean == float(np.mean([0.1, 0.2]))
+    assert two.st_dev == float(np.std([0.1, 0.2], ddof=1))
+    assert math.isnan(two.skewness) and math.isnan(two.kurtosis)
 
 
 def test_mean_study_frozen_regression():

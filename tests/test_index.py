@@ -74,6 +74,10 @@ def test_rescale_anchor():
     assert rescale_index(1.0, CFG) == 1.0
     with pytest.raises(DomainError):
         rescale_index(lo - 1e-3, CFG)
+    values = np.array([lo, 0.9281, 1.0])
+    assert rescale_index(values, CFG).tolist() == [rescale_index(v, CFG) for v in values.tolist()]
+    with pytest.raises(DomainError):
+        rescale_index(np.array([0.5, lo - 1e-3]), CFG)
 
 
 def test_rescaled_config_applies_rescale():
@@ -148,3 +152,39 @@ def test_validation_errors():
         IntervalPerformance(0.9, math.inf)
     with pytest.raises(DomainError):
         compute_index_array(np.array([0.5, 1.5]), np.array([1.0, 1.0]), CFG)
+
+
+def _sup(alpha: float, loss: str) -> float:
+    # supremum over coverage in [0, 1] at length 0, where the index peaks:
+    # coverage 1 - alpha under absolute loss; under squared loss
+    # sqrt(1 + d^2) - 1 with d = 2 - alpha, or 1 once that exceeds 1
+    if loss == "absolute":
+        return 1.0
+    k, d = k_alpha(alpha), 2.0 - alpha
+    if math.sqrt(1.0 + d * d) - 1.0 > 1.0:
+        return k * (1.0 - (1.0 + alpha * alpha) / 4.0)
+    return k * (1.0 - math.sqrt(1.0 + d * d) + d)
+
+
+@pytest.mark.parametrize("loss", ["absolute", "squared"])
+def test_index_range_is_tight_and_rescaled_values_stay_in_it(loss):
+    # the grid holds each extreme: coverage 0 (the lower end for alpha <=
+    # 0.5), coverage 1 at a huge length (approached above 0.5), nominal
+    # coverage and the squared-loss maximiser at length 0
+    for alpha in np.linspace(0.01, 0.99, 99).tolist():
+        d = 2.0 - alpha
+        covs = np.linspace(0.0, 1.0, 21).tolist() + [1.0 - alpha, min(math.sqrt(1.0 + d * d) - 1.0, 1.0)]
+        lengths = [0.0, 1e-3, 0.5, 3.0, 1e9]
+        cov, length = (a.ravel() for a in np.meshgrid(covs, lengths))
+        raw = compute_index_array(cov, length, IndexConfig(alpha, loss))
+        lo, hi = index_range(IndexConfig(alpha, loss))
+        upper = _sup(alpha, loss)
+        assert hi == 1.0
+        assert lo - 1e-9 <= raw.min() <= lo + 1e-6, (alpha, raw.min(), lo)
+        assert upper - 1e-12 <= raw.max() <= upper + 1e-9, (alpha, raw.max(), upper)
+
+        cfg = IndexConfig(alpha, loss, rescaled=True)
+        scaled = compute_index_array(cov, length, cfg)
+        assert scaled.min() >= -1e-9
+        for c, ell, v in zip(cov.tolist(), length.tolist(), scaled.tolist()):
+            assert compute_index(IntervalPerformance(c, ell), cfg) == v

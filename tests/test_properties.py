@@ -16,12 +16,13 @@ from ciindex import (
     normal_theory_interval,
     proportion_interval,
 )
-from ciindex.calibration import _beta_from_lambdas, _lambdas
+from ciindex.calibration import _beta_from_lambdas, _lambdas, _row_sds
 from ciindex.mean_intervals import (
     bca_from_boot_means,
     bootstrap_mean_draws,
     percentile_from_boot_means,
 )
+from ciindex.proportion_intervals import _weighted_outcomes
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 SEED = SeedSpec(20260815, (2, 0, 0))
@@ -70,6 +71,55 @@ def test_proportion_intervals_stay_in_unit_interval(case):
     for kind in PROPORTION_ESTIMATORS:
         ci = proportion_interval(kind, obs, alpha)
         assert 0.0 <= ci.lower <= ci.upper <= 1.0
+
+
+@st.composite
+def _sweep_cases(draw):
+    # weights of the n + 1 outcomes: zeros (skipped), study counts, pmf-like
+    n = draw(st.integers(1, 60))
+    weight = st.one_of(st.just(0), st.integers(1, 50), st.floats(0.0, 1.0))
+    weights = draw(st.lists(weight, min_size=n + 1, max_size=n + 1))
+    p = draw(st.floats(0.001, 0.999))
+    alpha = draw(st.floats(0.001, 0.5))
+    return n, p, alpha, weights
+
+
+# a sweep checks its kind and alpha and takes its normal quantile once;
+# every outcome's interval must still be the public call's, bit for bit
+@PROPERTY
+@given(_sweep_cases())
+def test_sweep_equals_the_tally_of_public_calls(case):
+    n, p, alpha, weights = case
+    for kind in PROPORTION_ESTIMATORS:
+        cover = 0.0
+        length = 0.0
+        for x, w in enumerate(weights):
+            if w == 0:
+                continue
+            ci = proportion_interval(kind, BinomialObservation(n, x), alpha)
+            if ci.contains(p):
+                cover += w
+            length += w * ci.length
+        assert _bits(_weighted_outcomes(kind, n, p, alpha, weights)) == _bits([cover, length]), kind
+
+
+@st.composite
+def _resample_sets(draw):
+    # B resamples of n values at scales from 1e-3 to 1e3; integer-valued
+    # sets hold ties, and rows of one repeated value have zero variance
+    B = draw(st.integers(1, 40))
+    n = draw(st.integers(2, 300))
+    scale = draw(st.floats(1e-3, 1e3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.integers(-3, 4, size=(B, n)) * scale
+    return rng.normal(draw(st.floats(-1e3, 1e3)), scale, size=(B, n))
+
+
+@PROPERTY
+@given(_resample_sets())
+def test_row_sds_equal_numpy_std(boot):
+    assert _bits(_row_sds(boot, boot.mean(axis=1))) == _bits(boot.std(axis=1, ddof=1))
 
 
 @st.composite
