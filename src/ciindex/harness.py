@@ -19,7 +19,10 @@ Randomness is organized as one stream per task: stream (1, r) generates
 replication r's data block, stream (2, r, i) the resamples for sample i
 of replication r, and stream (3,) the proportion draws.  Because streams
 are derived from (master_seed, path) alone, results are bit-identical for
-any worker count.
+any worker count.  A replication opens its N resample streams in one
+pass (their Philox keys are derived together, see :mod:`ciindex.sampling`),
+and each draws exactly what ``SeedSpec(...).child(2, r, i).generator()``
+would.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .proportion_intervals import (  # noqa: F401 - proportion_interval stays im
     _weighted_outcomes,
     proportion_interval,
 )
-from .sampling import DataModel, SeedSpec, _draw, bootstrap_resamples, true_parameter
+from .sampling import DataModel, SeedSpec, _draw, _resample, _stream_generators, true_parameter
 
 __all__ = [
     "DESK_SCALE",
@@ -253,6 +256,8 @@ def _replication(
     matrix = _draw(plan.model, (plan.N, plan.n), seed.child(1, r))
     theta = true_parameter(plan.model)
     needs_boot = calibrate or any(e in _BOOTSTRAP_KINDS for e in plan.estimators)
+    if needs_boot:
+        streams = _stream_generators(seed.child(2, r), plan.N)
     n_levels = 2 if calibrate else 1
 
     covers = np.zeros((n_levels, len(plan.estimators)), dtype=np.int64)
@@ -265,7 +270,7 @@ def _replication(
         m = rows.shape[0]
         if needs_boot:
             for j in range(m):
-                boot = bootstrap_resamples(rows[j], plan.B, seed.child(2, r, start + j))
+                boot = _resample(rows[j], plan.B, next(streams))
                 means[j] = boot.mean(axis=1)
                 if calibrate:
                     sds[j] = _row_sds(boot, means[j])

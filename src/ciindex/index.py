@@ -101,16 +101,16 @@ def compute_index_array(coverage, mean_length, cfg: IndexConfig):
     """The index of every (coverage, mean length) pair, as a float64 array.
 
     ``coverage`` and ``mean_length`` broadcast against each other and must
-    already satisfy the domain (coverage in [0, 1], length >= 0).  With
-    ``cfg.rescaled`` the values go through :func:`rescale_index`, range
-    check included.
+    satisfy :class:`IntervalPerformance`'s domain (coverage in [0, 1],
+    length finite and >= 0; NaN is neither).  With ``cfg.rescaled`` the
+    values go through :func:`rescale_index`, range check included.
     """
     eta = np.asarray(coverage, dtype=float)
     length = np.asarray(mean_length, dtype=float)
-    if eta.size and (eta.min() < 0.0 or eta.max() > 1.0):
+    if not np.all((eta >= 0.0) & (eta <= 1.0)):
         raise DomainError("coverage values must lie in [0, 1]")
-    if length.size and length.min() < 0.0:
-        raise DomainError("mean_length values must be >= 0")
+    if not np.all(np.isfinite(length) & (length >= 0.0)):
+        raise DomainError("mean_length values must be finite and >= 0")
     dev = 1.0 - cfg.alpha - eta
     h = np.abs(dev) if cfg.loss == "absolute" else dev * dev
     value = k_alpha(cfg.alpha) * (1.0 - 0.5 * (1.0 + h) / (1.0 + eta / (1.0 + length)))

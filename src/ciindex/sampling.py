@@ -8,6 +8,14 @@ counter-based Philox generator.  Distinct paths give independent streams,
 and a given (seed, path) pair yields identical draws regardless of how
 work is scheduled across processes, which is what makes parallel
 simulation runs bit-reproducible.
+
+:meth:`SeedSpec.generator` is the definition of a stream: numpy's
+``SeedSequence(master_seed, spawn_key=path)`` keys a fresh Philox.  A
+Philox stream is only its key and a zero counter, so when the harness
+needs many sibling streams ``path + (i,)`` it derives all their keys in
+one vectorized pass that reproduces ``SeedSequence`` word for word, and
+re-keys a single generator per stream.  The draws are the same bits;
+``tests/test_sampling.py`` pins the keys against numpy's own.
 """
 
 from __future__ import annotations
@@ -187,5 +195,102 @@ def bootstrap_resamples(values: np.ndarray, B: int, seed: SeedSpec) -> np.ndarra
     so a seed always yields the same resample set whichever caller asks.
     ``values`` must be a nonempty one-dimensional array; callers validate.
     """
-    idx = seed.generator().integers(0, values.size, size=(B, values.size))
-    return values[idx]
+    return _resample(values, B, seed.generator())
+
+
+def _resample(values: np.ndarray, B: int, rng: np.random.Generator) -> np.ndarray:
+    # the one resample draw, from a stream already opened
+    return values[rng.integers(0, values.size, size=(B, values.size))]
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+
+
+def _words(value: int) -> list[int]:
+    # one non-negative integer as 32-bit words, low word first, as numpy
+    # splits entropy and spawn-key entries (0 is one word)
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _stream_keys(seed: SeedSpec, count: int) -> np.ndarray:
+    # The (count, 2) uint64 Philox keys of the streams seed.stream_path +
+    # (i,), i < count: row i equals SeedSequence(master, spawn_key=path +
+    # (i,)).generate_state(2, np.uint64), which is how SeedSpec.generator()
+    # keys its Philox.  One pass of numpy's SeedSequence over uint32 columns:
+    # the words common to every stream are (1,) columns and broadcast
+    # against the (count,) column of the last path entry.
+    if not (isinstance(count, int) and 0 <= count < 2**32):
+        raise DomainError(f"count must be an integer in [0, 2^32), got {count!r}")
+    run = _words(seed.master_seed)
+    common = run + [0] * (_POOL_SIZE - len(run))  # numpy pads spawned run entropy
+    common += [w for entry in seed.stream_path for w in _words(entry)]
+    entropy = [np.array([w], dtype=np.uint32) for w in common]
+    entropy.append(np.arange(count, dtype=np.uint32))
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(2, np.uint64): four uint32 words, paired low word first
+    hash_const = _INIT_B
+    state = []
+    for word in pool:
+        word = word ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * hash_const
+        state.append((word ^ (word >> _XSHIFT)).astype(np.uint64))
+    keys = np.empty((count, 2), dtype=np.uint64)
+    keys[:, 0] = state[0] | state[1] << np.uint64(32)
+    keys[:, 1] = state[2] | state[3] << np.uint64(32)
+    return keys
+
+
+def _stream_generators(seed: SeedSpec, count: int):
+    # One generator per stream seed.stream_path + (i,), i < count, in
+    # order, drawing exactly what SeedSpec.generator() would draw.  Philox
+    # is counter-based, so a fresh stream is its key with a zero counter:
+    # one Philox is re-keyed per stream (counter 0, empty buffer, no spare
+    # 32-bit word), and the same Generator object is yielded each time, so
+    # each must be used up before the next is asked for.
+    bit_generator = np.random.Philox(0)
+    rng = np.random.Generator(bit_generator)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for key in _stream_keys(seed, count):
+        state["state"]["key"] = key
+        bit_generator.state = state
+        yield rng

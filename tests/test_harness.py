@@ -1,5 +1,6 @@
 """Simulation harness: summaries, determinism, worker independence,
-stream layout, and a small frozen regression."""
+stream layout, a small frozen regression, and a plain per-sample
+reference loop that the engine must equal bit for bit."""
 
 import dataclasses
 import math
@@ -7,26 +8,40 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ciindex import (
+    MEAN_ESTIMATORS,
     ConfigError,
     DomainError,
     IndexConfig,
     InsufficientDataError,
     IntervalPerformance,
+    ReplicationResult,
     SeedSpec,
     SimulationPlan,
     binomial_model,
+    calibrate_level,
     compute_index,
     exact_performance,
+    johnson_t_interval,
     lognormal_model,
     normal_model,
+    normal_theory_interval,
     run_calibration_study,
     run_mean_study,
     run_proportion_study,
     summarize_index,
+    true_parameter,
 )
+from ciindex import harness
 from ciindex.harness import DEFAULT_SKIP_DELTA
+from ciindex.mean_intervals import (
+    bca_from_boot_means,
+    bootstrap_mean_draws,
+    percentile_from_boot_means,
+)
 
 MEAN_PLAN = SimulationPlan(
     model=normal_model(2.0, 1.0),
@@ -204,15 +219,26 @@ def test_calibration_study_widens_when_not_skipped():
 
 def test_calibration_study_opens_each_stream_once(monkeypatch):
     # one pass: the alpha and beta intervals share every (1, r) data
-    # stream and (2, r, i) resample stream
+    # stream and (2, r, i) resample stream.  Data streams open through
+    # SeedSpec.generator, a replication's resample streams through one
+    # call of the opener, which yields them one at a time.
     opened = Counter()
+    openings = []
     generator = SeedSpec.generator
+    opener = harness._stream_generators
 
     def counting(self):
         opened[self.stream_path] += 1
         return generator(self)
 
+    def counting_streams(seed, count):
+        openings.append((seed.stream_path, count))
+        for i, rng in enumerate(opener(seed, count)):
+            opened[seed.stream_path + (i,)] += 1
+            yield rng
+
     monkeypatch.setattr(SeedSpec, "generator", counting)
+    monkeypatch.setattr(harness, "_stream_generators", counting_streams)
     plan = SimulationPlan(
         model=normal_model(2.0, 1.0),
         n=8,
@@ -227,6 +253,7 @@ def test_calibration_study_opens_each_stream_once(monkeypatch):
     comparison = run_calibration_study(plan)
     assert not all(comp.skipped for comp in comparison.values())
     streams = {(1, r) for r in range(3)} | {(2, r, i) for r in range(3) for i in range(20)}
+    assert openings == [((2, r), 20) for r in range(3)]
     assert set(opened) == streams
     assert set(opened.values()) == {1}
 
@@ -261,6 +288,9 @@ def test_calibration_study_skip_boundary():
 def test_calibration_study_needs_resamples_and_three_observations(monkeypatch):
     # checked by the study itself, before any stream is opened
     monkeypatch.setattr(SeedSpec, "generator", lambda self: pytest.fail("stream opened"))
+    monkeypatch.setattr(
+        harness, "_stream_generators", lambda seed, count: pytest.fail("streams opened")
+    )
     for n, B in ((10, 1), (2, 30)):
         plan = SimulationPlan(
             model=normal_model(2.0, 1.0), n=n, N=10, B=B, R=2, alpha=0.05,
@@ -305,3 +335,118 @@ def test_study_kind_mismatch_raises():
         run_proportion_study(mean_plan)
     with pytest.raises(ConfigError):
         run_mean_study(prop_plan)
+
+
+# ------------------------------------------------------ reference harness
+#
+# The engine vectorizes across samples and opens a replication's resample
+# streams in one pass.  The reference below is the plain per-sample loop:
+# every stream opened through SeedSpec.generator, the public one-sample
+# estimators, and running ``+=`` totals, which sum in sample order as the
+# engine's ``cumsum`` does.  The two must agree to the last bit.
+
+
+def _reference_interval(kind, values, means, level):
+    if kind == "normal_theory":
+        return normal_theory_interval(values, level)
+    if kind == "johnson_t":
+        return johnson_t_interval(values, level)
+    if kind == "bootstrap_percentile":
+        return percentile_from_boot_means(means, level)
+    return bca_from_boot_means(values, means, level)
+
+
+def _reference_replication(plan, calibrate, r):
+    # per level, per estimator: (coverage, mean length); and the mean beta
+    seed, model = SeedSpec(plan.master_seed), plan.model
+    rng = seed.child(1, r).generator()
+    if model.kind == "normal":
+        matrix = rng.normal(model.mu, math.sqrt(model.sigma2), size=(plan.N, plan.n))
+    else:
+        matrix = rng.lognormal(model.mu_log, math.sqrt(model.sigma2_log), size=(plan.N, plan.n))
+    theta = true_parameter(model)
+    n_levels = 2 if calibrate else 1
+    covers = [[0] * len(plan.estimators) for _ in range(n_levels)]
+    totals = [[0.0] * len(plan.estimators) for _ in range(n_levels)]
+    beta_total = 0.0
+    for i, values in enumerate(matrix):
+        stream = seed.child(2, r, i)
+        means = bootstrap_mean_draws(values, plan.B, stream)
+        levels = [plan.alpha]
+        if calibrate:
+            levels.append(calibrate_level(values, plan.alpha, plan.B, stream).beta)
+            beta_total += levels[1]
+        for k, level in enumerate(levels):
+            for j, kind in enumerate(plan.estimators):
+                ci = _reference_interval(kind, values, means, level)
+                covers[k][j] += ci.contains(theta)
+                totals[k][j] += ci.length
+    per_level = [
+        [(covers[k][j] / plan.N, totals[k][j] / plan.N) for j in range(len(plan.estimators))]
+        for k in range(n_levels)
+    ]
+    return per_level, beta_total / plan.N
+
+
+def _reference_results(plan, reps, level, j):
+    out = []
+    for per_level, _ in reps:
+        coverage, length = per_level[level][j]
+        index = compute_index(IntervalPerformance(coverage, length), plan.index_config)
+        out.append(ReplicationResult(plan.estimators[j], coverage, length, index))
+    return out, summarize_index([res.index for res in out])
+
+
+def _assert_same(got, want):
+    # repr is exact for floats and equal for NaN
+    assert repr(got) == repr(want)
+
+
+@st.composite
+def _reference_plans(draw):
+    order = draw(st.permutations(MEAN_ESTIMATORS))
+    plan = SimulationPlan(
+        model=draw(st.sampled_from((normal_model(2.0, 1.0), lognormal_model(0.0, 1.0)))),
+        n=draw(st.integers(3, 12)),
+        N=draw(st.integers(1, 300)),
+        B=draw(st.integers(2, 50)),
+        R=draw(st.integers(1, 3)),
+        alpha=draw(st.sampled_from((0.05, 0.1))),
+        estimators=tuple(order[:draw(st.integers(1, len(order)))]),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        skip_delta=draw(st.sampled_from((0.0, 0.005, 1.0))),
+    )
+    return plan, draw(st.booleans())
+
+
+EDGE_PLAN = SimulationPlan(
+    model=lognormal_model(0.0, 1.0), n=5, N=257, B=9, R=2, alpha=0.05,
+    estimators=("bca", "johnson_t", "bootstrap_percentile", "normal_theory"),
+    master_seed=2**64 - 1, skip_delta=0.0,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(_reference_plans())
+@example((EDGE_PLAN, True))
+@example((EDGE_PLAN, False))
+def test_engine_equals_the_reference_loop(case):
+    plan, calibrate = case
+    reps = [_reference_replication(plan, calibrate, r) for r in range(plan.R)]
+    if not calibrate:
+        study = run_mean_study(plan)
+        for j, e in enumerate(plan.estimators):
+            _assert_same(study[e], _reference_results(plan, reps, 0, j))
+        return
+    study = run_calibration_study(plan)
+    for j, e in enumerate(plan.estimators):
+        comp = study[e]
+        uncal = _reference_results(plan, reps, 0, j)
+        coverage = float(np.mean([res.coverage for res in uncal[0]]))
+        skipped = not abs(coverage - (1.0 - plan.alpha)) > plan.skip_delta
+        _assert_same(comp.uncalibrated, uncal)
+        _assert_same(comp.empirical_coverage, coverage)
+        assert comp.skipped == skipped
+        _assert_same(comp.calibrated, uncal if skipped else _reference_results(plan, reps, 1, j))
+        mean_beta = math.nan if skipped else float(np.mean([beta for _, beta in reps]))
+        _assert_same(comp.mean_beta, mean_beta)

@@ -154,6 +154,19 @@ def test_validation_errors():
         compute_index_array(np.array([0.5, 1.5]), np.array([1.0, 1.0]), CFG)
 
 
+@pytest.mark.parametrize(
+    "coverage, length",
+    [([math.nan, 0.5], [1.0, math.nan]), ([0.5], [math.inf]), ([0.5], [math.nan])],
+)
+def test_compute_index_array_rejects_what_interval_performance_rejects(coverage, length):
+    # NaN passes a min()/max() range check; the array form must refuse the
+    # pairs the one-pair form refuses
+    with pytest.raises(DomainError):
+        IntervalPerformance(coverage[0], length[0])
+    with pytest.raises(DomainError):
+        compute_index_array(coverage, length, CFG)
+
+
 def _sup(alpha: float, loss: str) -> float:
     # supremum over coverage in [0, 1] at length 0, where the index peaks:
     # coverage 1 - alpha under absolute loss; under squared loss

@@ -16,7 +16,7 @@ from ciindex import (
     normal_model,
     true_parameter,
 )
-from ciindex.sampling import bootstrap_resamples
+from ciindex.sampling import _stream_generators, _stream_keys, bootstrap_resamples
 
 # 1 percent critical values keep distribution checks stable across platforms
 KS_LEVEL = 0.01
@@ -115,3 +115,45 @@ def test_bootstrap_resample_draws_from_sample():
     assert set(boot.ravel()).issubset(set(sample))
     again = bootstrap_resamples(sample, 7, SeedSpec(5, (2, 0, 0)))
     assert np.array_equal(boot, again)
+
+
+STREAM_MASTERS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 20260815)
+STREAM_PREFIXES = ((2, 0), (2, 7), (2, 2**33), (1,))
+
+
+@pytest.mark.parametrize("count", (1, 128, 129, 1000))
+def test_stream_keys_equal_seed_sequence(count):
+    # bit for bit numpy's own key derivation, for every stream of the pass
+    for master in STREAM_MASTERS:
+        for prefix in STREAM_PREFIXES:
+            keys = _stream_keys(SeedSpec(master, prefix), count)
+            want = [
+                np.random.SeedSequence(master, spawn_key=prefix + (i,)).generate_state(2, np.uint64)
+                for i in range(count)
+            ]
+            assert keys.dtype == np.uint64
+            np.testing.assert_array_equal(keys, np.array(want, dtype=np.uint64).reshape(count, 2))
+
+
+def test_stream_generators_draw_what_seed_spec_draws():
+    for master in STREAM_MASTERS:
+        for prefix in STREAM_PREFIXES:
+            seed = SeedSpec(master, prefix)
+            drawn = 0
+            # the opener re-keys one generator, so draw while it is current
+            for i, rng in enumerate(_stream_generators(seed, 130)):
+                want = seed.child(i).generator()
+                np.testing.assert_array_equal(
+                    rng.integers(0, 10, size=(3, 10)), want.integers(0, 10, size=(3, 10))
+                )
+                # a lone 32-bit draw leaves a spare word the next stream must not see
+                assert rng.integers(0, 7, dtype=np.uint32) == want.integers(0, 7, dtype=np.uint32)
+                drawn += 1
+            assert drawn == 130
+
+
+def test_stream_count_domain():
+    assert _stream_keys(SeedSpec(1, (2, 0)), 0).shape == (0, 2)
+    for count in (-1, 2**32, 1.0):
+        with pytest.raises(DomainError):
+            _stream_keys(SeedSpec(1, (2, 0)), count)
