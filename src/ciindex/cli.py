@@ -46,7 +46,7 @@ from .harness import (
     run_mean_study,
     run_proportion_study,
 )
-from .index import IndexConfig, IntervalPerformance, compute_index, compute_index_array
+from .index import _LOSSES, IndexConfig, IntervalPerformance, compute_index, compute_index_array
 from .mean_intervals import MEAN_ESTIMATORS
 from .proportion_intervals import PROPORTION_ESTIMATORS
 from .sampling import DataModel, binomial_model, lognormal_model, normal_model
@@ -65,9 +65,16 @@ EXIT_RUNTIME = 3
 
 _SCALES = {"desk": DESK_SCALE, "paper": PAPER_SCALE}
 
+# [model] kind -> (factory, its typed keys in argument order)
+_MODELS = {
+    "normal": (normal_model, (("mu", float), ("sigma2", float))),
+    "lognormal": (lognormal_model, (("mu_log", float), ("sigma2_log", float))),
+    "binomial": (binomial_model, (("n_trials", int), ("p", float))),
+}
+
 _ALLOWED_KEYS = {
     "run": {"schema", "mode", "seed", "scale", "alpha", "loss", "rescaled"},
-    "model": {"kind", "mu", "sigma2", "mu_log", "sigma2_log", "n_trials", "p"},
+    "model": {"kind", *(key for _factory, keys in _MODELS.values() for key, _kind in keys)},
     "study": {"n", "N", "B", "R", "estimators", "skip_delta", "workers"},
     "apply": {"input"},
     "plot": {"input"},
@@ -93,13 +100,9 @@ class ExternalPerformanceRow:
 
 
 @dataclass(frozen=True)
-class ReportRow:
+class ReportRow(ExternalPerformanceRow):
     """An input row scored with its index and within-group rank."""
 
-    estimator_label: str
-    group_keys: tuple[tuple[str, str], ...]
-    coverage: float
-    mean_length: float
     index: float
     rank_within_group: int
 
@@ -124,14 +127,8 @@ def apply_index(rows: list[ExternalPerformanceRow], cfg: IndexConfig) -> list[Re
         for rank, pos in enumerate(ordered, start=1):
             ranks[pos] = rank
     return [
-        ReportRow(
-            estimator_label=row.estimator_label,
-            group_keys=row.group_keys,
-            coverage=row.coverage,
-            mean_length=row.mean_length,
-            index=indexes[pos],
-            rank_within_group=ranks[pos],
-        )
+        ReportRow(row.estimator_label, row.group_keys, row.coverage, row.mean_length,
+                  indexes[pos], ranks[pos])
         for pos, row in enumerate(rows)
     ]
 
@@ -146,7 +143,8 @@ def _load_config(path: Path) -> configparser.ConfigParser:
     # keys are case sensitive so that [study] n and N can coexist
     parser.optionxform = str
     try:
-        with open(path, encoding="utf-8") as handle:
+        # utf-8-sig: a leading byte-order mark is dropped, not read as text
+        with open(path, encoding="utf-8-sig") as handle:
             parser.read_file(handle)
     except configparser.Error as exc:
         raise ConfigError(f"config parse failure: {exc}") from exc
@@ -182,9 +180,7 @@ class _Effective:
     out_dir: Path
     config_dir: Path
     seed: int | None
-    alpha: float
-    loss: str
-    rescaled: bool
+    index: IndexConfig
     scale: str
     parser: configparser.ConfigParser
 
@@ -198,24 +194,21 @@ def _effective(args: argparse.Namespace) -> _Effective:
             f"config [run] mode is {mode.strip()!r} but the {args.command!r} subcommand was invoked"
         )
     seed = args.seed if args.seed is not None else _get_typed(parser, "run", "seed", int)
-    alpha = args.alpha if args.alpha is not None else _get_typed(parser, "run", "alpha", float, 0.05)
-    loss = args.loss if args.loss is not None else parser.get("run", "loss", fallback="absolute")
-    rescaled = args.rescaled or _get_typed(parser, "run", "rescaled", bool, False)
+    # IndexConfig owns the alpha and loss rules; its DomainError exits 2
+    index = IndexConfig(
+        args.alpha if args.alpha is not None else _get_typed(parser, "run", "alpha", float, 0.05),
+        args.loss if args.loss is not None else parser.get("run", "loss", fallback="absolute"),
+        args.rescaled or _get_typed(parser, "run", "rescaled", bool, False),
+    )
     scale = args.scale if args.scale is not None else parser.get("run", "scale", fallback="desk")
     if scale not in _SCALES:
         raise ConfigError(f"scale must be one of {sorted(_SCALES)}, got {scale!r}")
-    if loss not in ("absolute", "squared"):
-        raise ConfigError(f"loss must be 'absolute' or 'squared', got {loss!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
     return _Effective(
         mode=args.command,
         out_dir=Path(args.out),
         config_dir=config_path.resolve().parent,
         seed=seed,
-        alpha=alpha,
-        loss=loss,
-        rescaled=rescaled,
+        index=index,
         scale=scale,
         parser=parser,
     )
@@ -225,20 +218,10 @@ def _build_model(parser: configparser.ConfigParser) -> DataModel:
     if not parser.has_section("model"):
         raise ConfigError("this mode needs a [model] section")
     kind = parser.get("model", "kind", fallback=None)
-    if kind == "normal":
-        return normal_model(
-            _require(parser, "model", "mu", float), _require(parser, "model", "sigma2", float)
-        )
-    if kind == "lognormal":
-        return lognormal_model(
-            _require(parser, "model", "mu_log", float),
-            _require(parser, "model", "sigma2_log", float),
-        )
-    if kind == "binomial":
-        return binomial_model(
-            _require(parser, "model", "n_trials", int), _require(parser, "model", "p", float)
-        )
-    raise ConfigError(f"[model] kind must be normal, lognormal, or binomial, got {kind!r}")
+    if kind not in _MODELS:
+        raise ConfigError(f"[model] kind must be normal, lognormal, or binomial, got {kind!r}")
+    factory, keys = _MODELS[kind]
+    return factory(*(_require(parser, "model", key, typed) for key, typed in keys))
 
 
 def _require(parser, section, key, kind):
@@ -254,7 +237,7 @@ def _build_plan(eff: _Effective, model: DataModel) -> SimulationPlan:
         raise ConfigError("a seed is required (config [run] seed or --seed)")
     sizes = dict(_SCALES[eff.scale])
     for key in ("R", "N", "B"):
-        explicit = _get_typed(parser, "study", key, int) if parser.has_section("study") else None
+        explicit = _get_typed(parser, "study", key, int)
         if explicit is not None:
             sizes[key] = explicit
     if model.kind == "binomial":
@@ -277,17 +260,17 @@ def _build_plan(eff: _Effective, model: DataModel) -> SimulationPlan:
         N=sizes["N"],
         B=sizes["B"],
         R=sizes["R"],
-        alpha=eff.alpha,
+        alpha=eff.index.alpha,
         estimators=estimators,
         master_seed=eff.seed,
         skip_delta=skip_delta,
-        loss=eff.loss,
-        rescaled=eff.rescaled,
+        loss=eff.index.loss,
+        rescaled=eff.index.rescaled,
     )
 
 
 def _workers(eff: _Effective) -> int:
-    value = _get_typed(eff.parser, "study", "workers", int, 1) if eff.parser.has_section("study") else 1
+    value = _get_typed(eff.parser, "study", "workers", int, 1)
     if value < 1:
         raise ConfigError(f"[study] workers must be >= 1, got {value!r}")
     cpus = os.cpu_count() or 1
@@ -312,10 +295,6 @@ def _quantized_triple(coverage: float, length: float, cfg: IndexConfig) -> tuple
     return _fmt(cov_q), _fmt(len_q), _fmt(idx)
 
 
-def _plan_echo_hash(echo: dict) -> str:
-    return hashlib.sha256(json.dumps(echo, sort_keys=True).encode("utf-8")).hexdigest()
-
-
 def _write_csv(path: Path, comments: list[str], header: list[str], rows: list[list[str]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         for line in comments:
@@ -325,8 +304,13 @@ def _write_csv(path: Path, comments: list[str], header: list[str], rows: list[li
         writer.writerows(rows)
 
 
-def _write_metadata(out_dir: Path, echo: dict, extra: dict | None = None) -> str:
-    plan_hash = _plan_echo_hash(echo)
+def _write_metadata(out_dir: Path, echo: dict, extra: dict | None = None) -> list[str]:
+    """Write ``run_metadata.json`` for ``echo``; returns the CSV comment lines.
+
+    The comment carries the echo's hash, after its master seed in the
+    seeded (study) modes.
+    """
+    plan_hash = hashlib.sha256(json.dumps(echo, sort_keys=True).encode("utf-8")).hexdigest()
     record = {
         "plan": echo,
         "plan_sha256": plan_hash,
@@ -342,41 +326,37 @@ def _write_metadata(out_dir: Path, echo: dict, extra: dict | None = None) -> str
     with open(out_dir / "run_metadata.json", "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return plan_hash
-
-
-def _plan_echo(mode: str, plan: SimulationPlan) -> dict:
-    # every plan field, the model's set fields only; "calibrate" keeps the
-    # echo (and so the plan hash) of the mode that runs a calibration study
-    echo = dataclasses.asdict(plan)
-    echo["model"] = {k: v for k, v in echo["model"].items() if v is not None}
-    echo.update(mode=mode, calibrate=mode == "calibrate")
-    return echo
-
-
-def _comments(plan_hash: str, master_seed: int | None) -> list[str]:
-    if master_seed is None:
+    if "master_seed" not in echo:
         return [f"plan_sha256={plan_hash}"]
-    return [f"master_seed={master_seed} plan_sha256={plan_hash}"]
+    return [f"master_seed={echo['master_seed']} plan_sha256={plan_hash}"]
 
 
 # ---------------------------------------------------------------- modes
 
 
-def _run_simulate_mean(eff: _Effective) -> None:
-    plan = _build_plan(eff, _build_model(eff.parser))
-    results = run_mean_study(plan, n_workers=_workers(eff))
-    echo = _plan_echo("simulate-mean", plan)
-    plan_hash = _write_metadata(eff.out_dir, echo)
-    comments = _comments(plan_hash, plan.master_seed)
-    cfg = plan.index_config
+def _study(eff: _Effective, run, extra: dict | None = None) -> tuple[dict, list[str]]:
+    """Plan, run, echo and write the metadata of one study.
 
+    ``run`` takes the plan and returns the study's results, keyed by
+    estimator in plan order.  Returns them with the CSV comment lines.
+    """
+    plan = _build_plan(eff, _build_model(eff.parser))
+    results = run(plan)
+    # every plan field, the model's set fields only; "calibrate" keeps the
+    # echo (and so the plan hash) of the mode that runs a calibration study
+    echo = dataclasses.asdict(plan)
+    echo["model"] = {k: v for k, v in echo["model"].items() if v is not None}
+    echo.update(mode=eff.mode, calibrate=eff.mode == "calibrate")
+    return results, _write_metadata(eff.out_dir, echo, extra)
+
+
+def _run_simulate_mean(eff: _Effective) -> None:
+    results, comments = _study(eff, lambda plan: run_mean_study(plan, n_workers=_workers(eff)))
     rep_rows = []
     sum_rows = []
-    for e in plan.estimators:
-        reps, summary = results[e]
+    for e, (reps, summary) in results.items():
         for r, rep in enumerate(reps):
-            cov, length, idx = _quantized_triple(rep.coverage, rep.mean_length, cfg)
+            cov, length, idx = _quantized_triple(rep.coverage, rep.mean_length, eff.index)
             rep_rows.append([e, str(r), cov, length, idx])
         sum_rows.append(
             [
@@ -412,54 +392,42 @@ def _run_simulate_mean(eff: _Effective) -> None:
 
 
 def _run_simulate_proportion(eff: _Effective) -> None:
-    plan = _build_plan(eff, _build_model(eff.parser))
-    results = run_proportion_study(plan)
-    echo = _plan_echo("simulate-proportion", plan)
-    plan_hash = _write_metadata(eff.out_dir, echo)
-    rows = []
-    for e in plan.estimators:
-        cov, length, idx = _quantized_triple(
-            results[e].coverage, results[e].mean_length, plan.index_config
-        )
-        rows.append([e, cov, length, idx])
+    results, comments = _study(eff, run_proportion_study)
+    rows = [
+        [e, *_quantized_triple(res.coverage, res.mean_length, eff.index)]
+        for e, res in results.items()
+    ]
     _write_csv(
-        eff.out_dir / "results.csv",
-        _comments(plan_hash, plan.master_seed),
-        ["estimator", "coverage", "length", "index"],
-        rows,
+        eff.out_dir / "results.csv", comments, ["estimator", "coverage", "length", "index"], rows
     )
 
 
 def _run_calibrate(eff: _Effective) -> None:
-    plan = _build_plan(eff, _build_model(eff.parser))
-    comparison = run_calibration_study(plan, n_workers=_workers(eff))
-    echo = _plan_echo("calibrate", plan)
-    plan_hash = _write_metadata(eff.out_dir, echo, {"calibration_resamples": "reused"})
-    cfg = plan.index_config
+    comparison, comments = _study(
+        eff,
+        lambda plan: run_calibration_study(plan, n_workers=_workers(eff)),
+        {"calibration_resamples": "reused"},
+    )
     rows = []
-    for e in plan.estimators:
-        comp = comparison[e]
+    for e, comp in comparison.items():
         for variant, (reps, _summary) in (
             ("uncalibrated", comp.uncalibrated),
             ("calibrated", comp.calibrated),
         ):
             cov = float(numpy.mean([rep.coverage for rep in reps]))
             length = float(numpy.mean([rep.mean_length for rep in reps]))
-            cov_s, len_s, idx_s = _quantized_triple(cov, length, cfg)
             rows.append(
                 [
                     e,
                     variant,
-                    cov_s,
-                    len_s,
-                    idx_s,
+                    *_quantized_triple(cov, length, eff.index),
                     "true" if comp.skipped else "false",
                     _fmt(comp.mean_beta),
                 ]
             )
     _write_csv(
         eff.out_dir / "calibration.csv",
-        _comments(plan_hash, plan.master_seed),
+        comments,
         ["estimator", "variant", "coverage", "length", "index", "skipped", "mean_beta"],
         rows,
     )
@@ -483,7 +451,7 @@ def _read_performance_csv(path: Path) -> tuple[list[str], list[ExternalPerforman
     """
     if not path.is_file():
         raise ConfigError(f"input file not found: {path}")
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         reader = csv.reader(line for line in handle if not line.startswith("#"))
         table = [row for row in reader if row]
     if not table:
@@ -529,26 +497,24 @@ def _read_performance_csv(path: Path) -> tuple[list[str], list[ExternalPerforman
     return group_cols, rows
 
 
-def _score_input(eff: _Effective, section: str) -> tuple[list[str], list[ReportRow], str]:
+def _score_input(eff: _Effective, section: str) -> tuple[list[str], list[ReportRow], list[str]]:
     """Read the ``[section] input`` CSV, score it, and write its metadata.
 
-    Returns the group columns, the scored rows, and the plan hash.
+    Returns the group columns, the scored rows, and the CSV comment lines.
     """
     in_path = _input_path(eff, section)
     group_cols, rows = _read_performance_csv(in_path)
-    report = apply_index(rows, IndexConfig(eff.alpha, eff.loss, eff.rescaled))
-    echo = {
-        "mode": eff.mode,
-        "alpha": eff.alpha,
-        "loss": eff.loss,
-        "rescaled": eff.rescaled,
-        "input_sha256": hashlib.sha256(in_path.read_bytes()).hexdigest(),
-    }
+    report = apply_index(rows, eff.index)
+    echo = dict(
+        dataclasses.asdict(eff.index),
+        mode=eff.mode,
+        input_sha256=hashlib.sha256(in_path.read_bytes()).hexdigest(),
+    )
     return group_cols, report, _write_metadata(eff.out_dir, echo)
 
 
 def _run_apply(eff: _Effective) -> None:
-    group_cols, report, plan_hash = _score_input(eff, "apply")
+    group_cols, report, comments = _score_input(eff, "apply")
     out_rows = [
         [row.estimator_label]
         + [value for _key, value in row.group_keys]
@@ -557,7 +523,7 @@ def _run_apply(eff: _Effective) -> None:
     ]
     _write_csv(
         eff.out_dir / "report.csv",
-        _comments(plan_hash, None),
+        comments,
         ["estimator", *group_cols, "coverage", "length", "index", "rank"],
         out_rows,
     )
@@ -570,7 +536,7 @@ def _group_label(group_keys: tuple[tuple[str, str], ...]) -> str:
 
 
 def _run_plot_data(eff: _Effective) -> None:
-    _group_cols, report, plan_hash = _score_input(eff, "plot")
+    _group_cols, report, comments = _score_input(eff, "plot")
     groups: dict[tuple, list[ReportRow]] = {}
     for row in report:
         groups.setdefault(row.group_keys, []).append(row)
@@ -581,10 +547,10 @@ def _run_plot_data(eff: _Effective) -> None:
             out_rows.append([label, row.estimator_label, "coverage", _fmt(row.coverage)])
         for row in members:
             out_rows.append([label, row.estimator_label, "index", _fmt(row.index)])
-        out_rows.append([label, "", "nominal", _fmt(1.0 - eff.alpha)])
+        out_rows.append([label, "", "nominal", _fmt(1.0 - eff.index.alpha)])
     _write_csv(
         eff.out_dir / "plot_data.csv",
-        _comments(plan_hash, None),
+        comments,
         ["group", "estimator", "series", "value"],
         out_rows,
     )
@@ -615,7 +581,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--scale", choices=sorted(_SCALES), default=None, help="R/N/B preset")
         p.add_argument("--alpha", type=float, default=None, help="significance level override")
-        p.add_argument("--loss", choices=("absolute", "squared"), default=None)
+        p.add_argument("--loss", choices=_LOSSES, default=None)
         p.add_argument("--rescaled", action="store_true", help="map the index range onto [0, 1]")
     return parser
 

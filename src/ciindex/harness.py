@@ -104,6 +104,8 @@ class SimulationPlan:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if not self.estimators:
             raise ConfigError("estimators must be nonempty")
+        if len(set(self.estimators)) != len(self.estimators):
+            raise ConfigError(f"estimators must not repeat a name, got {self.estimators!r}")
         if not (isinstance(self.skip_delta, (int, float)) and self.skip_delta >= 0.0):
             raise ConfigError(f"skip_delta must be >= 0, got {self.skip_delta!r}")
         allowed = PROPORTION_ESTIMATORS if self.model.kind == "binomial" else MEAN_ESTIMATORS

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ciindex
 import ciindex.cli
@@ -116,22 +117,58 @@ def test_replay_calls_return_what_the_replay_reads():
     assert 0.0 < perf.mean_length <= 1.0
 
 
-def test_benchmark_configs_load_and_plan(tmp_path):
-    # a config key the CLI stops accepting would otherwise show only as
-    # every benchmark run exiting with code 2
+def _workload_configs(tmp_path):
+    # (workload name, CLI call, written config path) for every benchmark call
     workloads = _load("workloads")
-    cli = ciindex.cli
     for name in workloads.NAMES:
         workload = workloads.build(name, workloads.DEFAULT_SEED, PERFBENCH.parent)
         for k, call in enumerate(workload.calls):
             path = tmp_path / f"{name}-{k}.ini"
             path.write_text(call.config, encoding="utf-8")
-            args = cli._build_parser().parse_args([call.mode, "--config", str(path)])
-            eff = cli._effective(args)
-            if call.mode in ("apply", "plot-data"):
-                assert cli._input_path(eff, "apply" if call.mode == "apply" else "plot").is_file()
-                continue
-            plan = cli._build_plan(eff, cli._build_model(eff.parser))
-            assert cli._workers(eff) == 1, (name, k)
-            if name == "calibrate_small_n":
-                assert plan.skip_delta == 0.0
+            yield name, call, path
+
+
+def test_benchmark_configs_load_and_plan(tmp_path):
+    # a config key the CLI stops accepting would otherwise show only as
+    # every benchmark run exiting with code 2
+    cli = ciindex.cli
+    for name, call, path in _workload_configs(tmp_path):
+        args = cli._build_parser().parse_args([call.mode, "--config", str(path)])
+        eff = cli._effective(args)
+        if call.mode in ("apply", "plot-data"):
+            assert cli._input_path(eff, "apply" if call.mode == "apply" else "plot").is_file()
+            continue
+        plan = cli._build_plan(eff, cli._build_model(eff.parser))
+        assert cli._workers(eff) == 1, (name, path.stem)
+        if name == "calibrate_small_n":
+            assert plan.skip_delta == 0.0
+
+
+class _StudyReached(BaseException):
+    """Raised by the stubs; BaseException, as setup_probe.py's, passes the CLI's handlers."""
+
+
+STUB_OF_MODE = {
+    "simulate-mean": "run_mean_study",
+    "calibrate": "run_calibration_study",
+    "simulate-proportion": "run_proportion_study",
+    "apply": "apply_index",
+    "plot-data": "apply_index",
+}
+
+
+def test_setup_probe_stubs_reach_every_mode(tmp_path, monkeypatch):
+    # setup_probe.py times set-up up to the first study call by replacing
+    # these cli attributes; a mode that holds its study function some
+    # other way (say, bound into a table at import) runs the whole study
+    # and its set-up time silently includes it
+    for name in _patched_cli_names():
+        def stub(*args, _name=name, **kwargs):
+            raise _StudyReached(_name)
+
+        monkeypatch.setattr(ciindex.cli, name, stub)
+    for name, call, path in _workload_configs(tmp_path):
+        out = tmp_path / f"out-{path.stem}"
+        with pytest.raises(_StudyReached) as reached:
+            ciindex.cli.main([call.mode, "--config", str(path), "--out", str(out)])
+        assert reached.value.args == (STUB_OF_MODE[call.mode],), (name, call.mode)

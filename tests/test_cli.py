@@ -15,6 +15,7 @@ from ciindex.cli import (
     EXIT_VALIDATION,
     ExternalPerformanceRow,
     ReportRow,
+    _ALLOWED_KEYS,
     apply_index,
     main,
 )
@@ -281,6 +282,50 @@ def test_workers_above_cpu_count_rejected(tmp_path, capsys):
     assert main(["simulate-mean", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
     assert not (out / "run_metadata.json").exists()
     assert "workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "run_line, flags, key",
+    [
+        ("alpha = 1.5\n", [], "alpha"),
+        ("alpha = nan\n", [], "alpha"),
+        ("loss = cubic\n", [], "loss"),
+        ("", ["--alpha", "0"], "alpha"),
+    ],
+    ids=["alpha-1.5", "alpha-nan", "loss-cubic", "flag-alpha-0"],
+)
+def test_bad_index_settings_rejected(tmp_path, capsys, run_line, flags, key):
+    # IndexConfig owns these rules; the CLI passes its DomainError on as exit 2
+    text = MEAN_INI.replace("seed = 414243\n", "seed = 414243\n" + run_line)
+    cfg = _write(tmp_path, "bad.ini", text)
+    out = tmp_path / "out"
+    assert main(["simulate-mean", "--config", str(cfg), "--out", str(out), *flags]) == EXIT_VALIDATION
+    assert key in capsys.readouterr().err
+    assert not (out / "run_metadata.json").exists()
+
+
+def test_byte_order_mark_is_accepted(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with a BOM; so may a config
+    table = "estimator,n,coverage,length\na,10,0.9500,0.5000\nb,10,0.9000,0.4000\n"
+    rows = {}
+    for name, bom in (("plain", ""), ("bom", "\ufeff")):
+        data = _write(tmp_path, f"{name}.csv", bom + table)
+        cfg = _write(
+            tmp_path, f"{name}.ini", f"{bom}[run]\nschema = 1\n\n[apply]\ninput = {data}\n"
+        )
+        out = tmp_path / name
+        assert main(["apply", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        rows[name] = _read_rows(out / "report.csv")
+    assert rows["bom"] == rows["plain"]
+
+
+def test_readme_documents_every_config_key():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config format", 1)[1].split("\n### ", 1)[0]
+    for name, keys in _ALLOWED_KEYS.items():
+        assert f"`[{name}]" in section, name
+        for key in keys:
+            assert f"`{key}`" in section, (name, key)
 
 
 def test_missing_input_file(tmp_path):

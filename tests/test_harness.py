@@ -323,6 +323,9 @@ def test_plan_validation():
     with pytest.raises(ConfigError):
         SimulationPlan(model=model, n=10, N=10, B=5, R=5, alpha=0.05,
                        estimators=("normal_theory",), master_seed=1, loss="other")
+    with pytest.raises(ConfigError):
+        SimulationPlan(model=model, n=10, N=10, B=5, R=5, alpha=0.05,
+                       estimators=("normal_theory", "normal_theory"), master_seed=1)
 
 
 def test_study_kind_mismatch_raises():
