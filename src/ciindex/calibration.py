@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .mean_intervals import _as_sample, _order_statistic
 from .sampling import SeedSpec, bootstrap_resamples
 from .special import _check_prob_open, normal_cdf
@@ -87,8 +86,6 @@ def _resample_stats(sample, alpha: float, B: int, seed: SeedSpec):
     # one validated sample with the means and sds of its one resample set
     values = _as_sample(sample, 2)
     _check_prob_open(alpha, "alpha")
-    if not (isinstance(B, int) and B >= 2):
-        raise DomainError(f"B must be an integer >= 2, got {B!r}")
     boot = bootstrap_resamples(values, B, seed)
     means = boot.mean(axis=1)
     return values, means, _row_sds(boot, means)

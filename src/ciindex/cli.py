@@ -235,18 +235,19 @@ def _build_plan(eff: _Effective, model: DataModel) -> SimulationPlan:
     parser = eff.parser
     if eff.seed is None:
         raise ConfigError("a seed is required (config [run] seed or --seed)")
-    sizes = dict(_SCALES[eff.scale])
-    for key in ("R", "N", "B"):
-        explicit = _get_typed(parser, "study", key, int)
-        if explicit is not None:
-            sizes[key] = explicit
     if model.kind == "binomial":
+        # a binomial study draws R counts: no samples, resamples or workers
+        unread = [k for k in ("N", "B", "skip_delta", "workers") if parser.has_option("study", k)]
+        if unread:
+            raise ConfigError(f"[study] {', '.join(unread)} does not apply to a binomial model")
+        sizes = {"R": _get_typed(parser, "study", "R", int, 1000), "N": 1, "B": 1}
         n = _get_typed(parser, "study", "n", int, model.n_trials)
-        sizes.update(N=1, B=1)
-        if not parser.has_option("study", "R"):
-            sizes["R"] = 1000
         default_estimators = PROPORTION_ESTIMATORS
     else:
+        sizes = {
+            key: _get_typed(parser, "study", key, int, preset)
+            for key, preset in _SCALES[eff.scale].items()
+        }
         n = _require(parser, "study", "n", int)
         default_estimators = MEAN_ESTIMATORS
     raw = parser.get("study", "estimators", fallback=None)
@@ -361,8 +362,8 @@ def _run_simulate_mean(eff: _Effective) -> None:
         sum_rows.append(
             [
                 e,
-                _fmt(float(numpy.mean([rep.coverage for rep in reps]))),
-                _fmt(float(numpy.mean([rep.mean_length for rep in reps]))),
+                _fmt(summary.coverage),
+                _fmt(summary.mean_length),
                 _fmt(summary.mean),
                 _fmt(summary.skewness),
                 _fmt(summary.kurtosis),
@@ -410,17 +411,15 @@ def _run_calibrate(eff: _Effective) -> None:
     )
     rows = []
     for e, comp in comparison.items():
-        for variant, (reps, _summary) in (
+        for variant, (_reps, summary) in (
             ("uncalibrated", comp.uncalibrated),
             ("calibrated", comp.calibrated),
         ):
-            cov = float(numpy.mean([rep.coverage for rep in reps]))
-            length = float(numpy.mean([rep.mean_length for rep in reps]))
             rows.append(
                 [
                     e,
                     variant,
-                    *_quantized_triple(cov, length, eff.index),
+                    *_quantized_triple(summary.coverage, summary.mean_length, eff.index),
                     "true" if comp.skipped else "false",
                     _fmt(comp.mean_beta),
                 ]

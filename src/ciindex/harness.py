@@ -147,13 +147,16 @@ class ReplicationResult:
 
 @dataclass(frozen=True)
 class IndexSummary:
-    """Mean, shape, and spread of a set of index values.
+    """One estimator's study summary, in ``summary.csv`` column order.
 
-    ``skewness`` and ``kurtosis`` (excess, so a normal law scores 0) are
-    NaN when undefined: for fewer than 3 values or zero variance.
-    ``st_dev`` is NaN for a single value.
+    The mean coverage and mean length of its replications, then the mean,
+    skewness, excess kurtosis (a normal law scores 0) and st.dev of their
+    index values.  The shape statistics are NaN for fewer than 3 values or
+    zero variance, ``st_dev`` for a single value.
     """
 
+    coverage: float
+    mean_length: float
     mean: float
     skewness: float
     kurtosis: float
@@ -184,25 +187,29 @@ class CalibrationComparison:
     mean_beta: float
 
 
-def summarize_index(values) -> IndexSummary:
-    """Mean, sample st.dev, moment skewness, excess kurtosis.
+def summarize_index(results: list[ReplicationResult]) -> IndexSummary:
+    """Summary of one estimator's replication results.
 
-    Central moments use the 1/n convention; the standard deviation uses
-    the n-1 denominator.  Fewer than 3 values, or zero variance, give NaN
-    shape statistics; a single value also gives a NaN standard deviation.
+    The mean coverage and mean length, then the index values' mean,
+    sample st.dev, moment skewness and excess kurtosis.  Central moments
+    use the 1/n convention; the standard deviation uses the n-1
+    denominator.  Fewer than 3 results, or zero index variance, give NaN
+    shape statistics; a single result also gives a NaN standard deviation.
     """
-    data = np.asarray(values, dtype=float)
-    if data.ndim != 1 or data.size == 0:
-        raise InsufficientDataError("need at least one value to summarize")
+    if not results:
+        raise InsufficientDataError("need at least one result to summarize")
+    coverage = float(np.mean([r.coverage for r in results]))
+    mean_length = float(np.mean([r.mean_length for r in results]))
+    data = np.array([r.index for r in results])
     mean = float(data.mean())
     st_dev = float(data.std(ddof=1)) if data.size > 1 else math.nan
     centered = data - mean
     m2 = float(np.mean(centered**2))
     if data.size < 3 or m2 == 0.0:
-        return IndexSummary(mean=mean, skewness=math.nan, kurtosis=math.nan, st_dev=st_dev)
+        return IndexSummary(coverage, mean_length, mean, math.nan, math.nan, st_dev)
     g1 = float(np.mean(centered**3)) / m2**1.5
     g2 = float(np.mean(centered**4)) / m2**2 - 3.0
-    return IndexSummary(mean=mean, skewness=g1, kurtosis=g2, st_dev=st_dev)
+    return IndexSummary(coverage, mean_length, mean, g1, g2, st_dev)
 
 
 def _issue_interval(kind: str, values: np.ndarray, alpha: float, boot_means):
@@ -238,12 +245,13 @@ def calibrated_interval(
 
 def _replication(
     plan: SimulationPlan, calibrate: bool, r: int
-) -> tuple[dict[str, tuple[float, float]], dict[str, tuple[float, float]], float]:
-    """Coverage and mean length per estimator for replication ``r``.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Coverage and mean length of every estimator in replication ``r``.
 
-    Returns the results at alpha, the results at each sample's calibrated
-    beta, and the mean beta; without ``calibrate`` the last two are empty
-    and NaN.  Each sample's (2, r, i) resample set is drawn once and
+    Returns ``(coverage, mean_length, mean_beta)``.  The first two are
+    ``(levels, estimators)`` arrays: row 0 at alpha and, with
+    ``calibrate``, row 1 at each sample's calibrated beta; ``mean_beta`` is
+    NaN without it.  Each sample's (2, r, i) resample set is drawn once and
     serves the bootstrap estimators at both levels as well as the beta,
     which is shared by every estimator.
 
@@ -287,16 +295,8 @@ def _replication(
                 covers[k, j] += np.count_nonzero(ci.contains(theta))
                 lengths[k, j, start:start + m] = ci.length
 
-    per_level = [
-        {
-            e: (int(covers[k, j]) / plan.N, float(np.cumsum(lengths[k, j])[-1]) / plan.N)
-            for j, e in enumerate(plan.estimators)
-        }
-        for k in range(n_levels)
-    ]
-    if calibrate:
-        return per_level[0], per_level[1], float(np.cumsum(betas)[-1]) / plan.N
-    return per_level[0], {}, math.nan
+    mean_beta = float(np.cumsum(betas)[-1]) / plan.N if calibrate else math.nan
+    return covers / plan.N, np.cumsum(lengths, axis=-1)[..., -1] / plan.N, mean_beta
 
 
 def _map_replications(fn, R: int, n_workers: int) -> list:
@@ -307,17 +307,18 @@ def _map_replications(fn, R: int, n_workers: int) -> list:
 
 
 def _collect(
-    plan: SimulationPlan, raw: list[dict[str, tuple[float, float]]], estimators
+    plan: SimulationPlan, raw: list, level: int, estimators
 ) -> dict[str, tuple[list[ReplicationResult], IndexSummary]]:
+    # every estimator's R results at one level (0: alpha, 1: beta), scored
+    # with one index call over the (R, estimators) arrays
+    at = [plan.estimators.index(e) for e in estimators]
+    coverage = np.array([cov[level, at] for cov, _, _ in raw])
+    length = np.array([ell[level, at] for _, ell, _ in raw])
+    index = compute_index_array(coverage, length, plan.index_config)
     out = {}
-    for e in estimators:
-        coverage = [rep[e][0] for rep in raw]
-        length = [rep[e][1] for rep in raw]
-        index = compute_index_array(coverage, length, plan.index_config)
-        results = [
-            ReplicationResult(e, c, ell, i) for c, ell, i in zip(coverage, length, index.tolist())
-        ]
-        out[e] = (results, summarize_index(index))
+    for e, *columns in zip(estimators, coverage.T.tolist(), length.T.tolist(), index.T.tolist()):
+        results = [ReplicationResult(e, *triple) for triple in zip(*columns)]
+        out[e] = (results, summarize_index(results))
     return out
 
 
@@ -333,7 +334,7 @@ def run_mean_study(
     if plan.model.kind not in ("normal", "lognormal"):
         raise ConfigError("run_mean_study requires a normal or lognormal model")
     raw = _map_replications(partial(_replication, plan, False), plan.R, n_workers)
-    return _collect(plan, [at_alpha for at_alpha, _, _ in raw], plan.estimators)
+    return _collect(plan, raw, 0, plan.estimators)
 
 
 def run_calibration_study(
@@ -352,16 +353,12 @@ def run_calibration_study(
     if plan.B < 2 or plan.n < 3:
         raise ConfigError("calibration requires B >= 2 and n >= 3")
     raw = _map_replications(partial(_replication, plan, True), plan.R, n_workers)
-    uncal = _collect(plan, [at_alpha for at_alpha, _, _ in raw], plan.estimators)
-
-    coverage = {
-        e: float(np.mean([res.coverage for res in uncal[e][0]])) for e in plan.estimators
-    }
+    uncal = _collect(plan, raw, 0, plan.estimators)
     to_calibrate = tuple(
         e for e in plan.estimators
-        if abs(coverage[e] - (1.0 - plan.alpha)) > plan.skip_delta
+        if abs(uncal[e][1].coverage - (1.0 - plan.alpha)) > plan.skip_delta
     )
-    cal = _collect(plan, [at_beta for _, at_beta, _ in raw], to_calibrate)
+    cal = _collect(plan, raw, 1, to_calibrate)
     mean_beta = float(np.mean([beta for _, _, beta in raw]))
 
     return {
@@ -370,7 +367,7 @@ def run_calibration_study(
             uncalibrated=uncal[e],
             calibrated=cal.get(e, uncal[e]),
             skipped=e not in cal,
-            empirical_coverage=coverage[e],
+            empirical_coverage=uncal[e][1].coverage,
             mean_beta=mean_beta if e in cal else math.nan,
         )
         for e in plan.estimators

@@ -180,10 +180,7 @@ def bootstrap_mean_draws(sample, B: int, seed: SeedSpec) -> np.ndarray:
     so the same seed always yields the same resample set regardless of
     caller.
     """
-    values = _as_sample(sample, 1)
-    if not (isinstance(B, int) and B >= 2):
-        raise DomainError(f"B must be an integer >= 2, got {B!r}")
-    return bootstrap_resamples(values, B, seed).mean(axis=1)
+    return bootstrap_resamples(_as_sample(sample, 1), B, seed).mean(axis=1)
 
 
 def _order_statistic(sorted_values: np.ndarray, p) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InsufficientDataError
 from .special import _check_prob_open
 
 __all__ = [
@@ -188,13 +188,21 @@ def _draw(model: DataModel, size, seed: SeedSpec) -> np.ndarray:
     return rng.binomial(model.n_trials, model.p, size=size)
 
 
-def bootstrap_resamples(values: np.ndarray, B: int, seed: SeedSpec) -> np.ndarray:
+def bootstrap_resamples(values, B: int, seed: SeedSpec) -> np.ndarray:
     """``B`` with-replacement resamples of ``values`` as one (B, n) block.
 
     The index matrix is drawn in one ``integers(0, n, size=(B, n))`` call,
     so a seed always yields the same resample set whichever caller asks.
-    ``values`` must be a nonempty one-dimensional array; callers validate.
+    ``values`` must be nonempty and one-dimensional, ``B`` an integer of at
+    least 2.
     """
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise DomainError(f"values must be one-dimensional, got shape {values.shape}")
+    if values.size == 0:
+        raise InsufficientDataError("values must be nonempty")
+    if not (isinstance(B, int) and B >= 2):
+        raise DomainError(f"B must be an integer >= 2, got {B!r}")
     return _resample(values, B, seed.generator())
 
 

@@ -284,6 +284,16 @@ def test_workers_above_cpu_count_rejected(tmp_path, capsys):
     assert "workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["workers = 999", "B = 7", "N = 3", "skip_delta = 0.2"])
+def test_binomial_rejects_unread_study_keys(tmp_path, capsys, line):
+    # a proportion study reads only n, R and estimators from [study]
+    cfg = _write(tmp_path, "p.ini", PROP_INI + line + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate-proportion", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert f"[study] {line.split()[0]} does not apply" in capsys.readouterr().err
+    assert not (out / "run_metadata.json").exists()
+
+
 @pytest.mark.parametrize(
     "run_line, flags, key",
     [

@@ -71,8 +71,13 @@ def _study_means(reps):
     return cov, length
 
 
+def _results(indexes):
+    # summarize_index takes one estimator's results; only the index varies
+    return [ReplicationResult("normal_theory", 0.95, 1.0, i) for i in indexes]
+
+
 def test_summarize_index_symmetric_triple():
-    s = summarize_index([-1.0, 0.0, 1.0])
+    s = summarize_index(_results([-1.0, 0.0, 1.0]))
     assert s.mean == 0.0
     assert s.st_dev == 1.0
     assert s.skewness == 0.0
@@ -80,7 +85,7 @@ def test_summarize_index_symmetric_triple():
 
 
 def test_summarize_index_constant_values():
-    s = summarize_index([2.0, 2.0, 2.0, 2.0])
+    s = summarize_index(_results([2.0, 2.0, 2.0, 2.0]))
     assert s.st_dev == 0.0
     assert math.isnan(s.skewness) and math.isnan(s.kurtosis)
     assert s.mean == 2.0
@@ -90,11 +95,11 @@ def test_summarize_index_short_inputs():
     # R = 1 and R = 2 studies are summarized too: the shape statistics are
     # undefined below 3 values, and the standard deviation for 1
     with pytest.raises(InsufficientDataError):
-        summarize_index([])
-    one = summarize_index([0.3])
+        summarize_index(_results([]))
+    one = summarize_index(_results([0.3]))
     assert one.mean == 0.3
     assert math.isnan(one.st_dev) and math.isnan(one.skewness) and math.isnan(one.kurtosis)
-    two = summarize_index([0.1, 0.2])
+    two = summarize_index(_results([0.1, 0.2]))
     assert two.mean == float(np.mean([0.1, 0.2]))
     assert two.st_dev == float(np.std([0.1, 0.2], ddof=1))
     assert math.isnan(two.skewness) and math.isnan(two.kurtosis)
@@ -397,7 +402,11 @@ def _reference_results(plan, reps, level, j):
         coverage, length = per_level[level][j]
         index = compute_index(IntervalPerformance(coverage, length), plan.index_config)
         out.append(ReplicationResult(plan.estimators[j], coverage, length, index))
-    return out, summarize_index([res.index for res in out])
+    summary = summarize_index(out)
+    # the summary's means, checked here and not only through summarize_index
+    _assert_same(summary.coverage, float(np.mean([res.coverage for res in out])))
+    _assert_same(summary.mean_length, float(np.mean([res.mean_length for res in out])))
+    return out, summary
 
 
 def _assert_same(got, want):
@@ -449,6 +458,7 @@ def test_engine_equals_the_reference_loop(case):
         skipped = not abs(coverage - (1.0 - plan.alpha)) > plan.skip_delta
         _assert_same(comp.uncalibrated, uncal)
         _assert_same(comp.empirical_coverage, coverage)
+        _assert_same(comp.empirical_coverage, comp.uncalibrated[1].coverage)
         assert comp.skipped == skipped
         _assert_same(comp.calibrated, uncal if skipped else _reference_results(plan, reps, 1, j))
         mean_beta = math.nan if skipped else float(np.mean([beta for _, beta in reps]))

@@ -8,6 +8,7 @@ from scipy import stats
 
 from ciindex import (
     DomainError,
+    InsufficientDataError,
     SeedSpec,
     binomial_model,
     draw_sample,
@@ -115,6 +116,25 @@ def test_bootstrap_resample_draws_from_sample():
     assert set(boot.ravel()).issubset(set(sample))
     again = bootstrap_resamples(sample, 7, SeedSpec(5, (2, 0, 0)))
     assert np.array_equal(boot, again)
+
+
+@pytest.mark.parametrize(
+    "values, B, error",
+    [
+        (np.array([]), 5, InsufficientDataError),
+        (np.ones((2, 2)), 3, DomainError),
+        (np.array(5.0), 3, DomainError),
+        (np.ones(4), 0, DomainError),
+        (np.ones(4), 1, DomainError),
+        (np.ones(4), -1, DomainError),
+        (np.ones(4), 2.5, DomainError),
+    ],
+    ids=["empty", "2-d", "0-d", "B-0", "B-1", "B-negative", "B-float"],
+)
+def test_bootstrap_resamples_rejects_bad_input(values, B, error):
+    # the public draw owns the input rule; its callers no longer repeat it
+    with pytest.raises(error):
+        bootstrap_resamples(values, B, SeedSpec(5, (2, 0, 0)))
 
 
 STREAM_MASTERS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 20260815)
