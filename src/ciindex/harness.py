@@ -95,7 +95,9 @@ class SimulationPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         try:
-            IndexConfig(self.alpha, self.loss, self.rescaled)
+            # kept for index_config; not a field, so asdict(plan) and the
+            # plan echo do not see it
+            object.__setattr__(self, "_index_config", IndexConfig(self.alpha, self.loss, self.rescaled))
             SeedSpec(self.master_seed)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
@@ -127,7 +129,7 @@ class SimulationPlan:
 
     @property
     def index_config(self) -> IndexConfig:
-        return IndexConfig(self.alpha, self.loss, self.rescaled)
+        return self._index_config
 
 
 @dataclass(frozen=True)
@@ -385,15 +387,14 @@ def run_proportion_study(plan: SimulationPlan) -> dict[str, ReplicationResult]:
     if plan.model.kind != "binomial":
         raise ConfigError("run_proportion_study requires a binomial model")
     counts = _draw(plan.model, plan.R, SeedSpec(plan.master_seed).child(3))
-    weights = np.bincount(counts, minlength=plan.model.n_trials + 1).tolist()
+    weights = np.bincount(counts, minlength=plan.model.n_trials + 1)
 
     p = true_parameter(plan.model)
     sums = [
         _weighted_outcomes(e, plan.model.n_trials, p, plan.alpha, weights)
         for e in plan.estimators
     ]
-    coverage = [cover / plan.R for cover, _ in sums]
-    length = [total / plan.R for _, total in sums]
+    coverage, length = (np.array(sums) / plan.R).T.tolist()
     index = compute_index_array(coverage, length, plan.index_config)
     return {
         e: ReplicationResult(e, c, ell, i)

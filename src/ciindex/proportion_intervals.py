@@ -10,6 +10,10 @@ the add-4 adjustment, and the mid-p (Jeffreys-type) Beta interval.
 :func:`exact_performance` computes coverage and expected length exactly by
 summing the binomial pmf over all n + 1 outcomes, with no Monte Carlo,
 which makes it the reference any simulated run can be checked against.
+Such a sweep (and a proportion study's) evaluates each formula once, over
+the array of outcomes it scores; the Beta and chi-square quantiles take
+arrays of shapes and degrees of freedom for it.  The arcsine formulas
+alone go one outcome at a time, through :mod:`math`.
 
 Boundary conventions keep every estimator total: a Beta quantile with a
 zero shape parameter is the corresponding endpoint (0 or 1), a chi-square
@@ -30,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError
 from .index import IntervalPerformance
-from .mean_intervals import ConfidenceInterval
+from .mean_intervals import ConfidenceInterval, _interval
 from .special import _check_prob_open, beta_quantile, chi_square_quantile, normal_quantile
 
 __all__ = [
@@ -55,76 +59,80 @@ class BinomialObservation:
             raise DomainError(f"x must be an integer in [0, {self.n}], got {self.x!r}")
 
 
-def _exact(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
+def _exact(n: int, x, alpha: float, z: float):
     lo = beta_quantile(alpha / 2.0, x, n - x + 1)
     hi = beta_quantile(1.0 - alpha / 2.0, x + 1, n - x)
     return lo, hi
 
 
-def _wald(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
+def _wald(n: int, x, alpha: float, z: float):
     ph = x / n
-    h = z * math.sqrt(ph * (1.0 - ph) / n)
+    h = z * np.sqrt(ph * (1.0 - ph) / n)
     return ph - h, ph + h
 
 
-def _arcsin_pair(g: float, h: float) -> tuple[float, float]:
-    t = math.asin(math.sqrt(g))
-    return math.sin(t - h) ** 2, math.sin(t + h) ** 2
+def _arcsin_pair(g, h: float):
+    # asin, sin and the square through math, one element at a time:
+    # numpy's vector arcsin and square can differ from them in the last bit
+    t = [math.asin(math.sqrt(v)) for v in np.ravel(g).tolist()]
+    lo = [math.sin(v - h) ** 2 for v in t]
+    hi = [math.sin(v + h) ** 2 for v in t]
+    return np.reshape(lo, np.shape(g)), np.reshape(hi, np.shape(g))
 
 
-def _arcsin(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
-    g = min(max((x - 0.5) / n, 0.0), 1.0)
+def _arcsin(n: int, x, alpha: float, z: float):
+    g = np.minimum(np.maximum((x - 0.5) / n, 0.0), 1.0)
     return _arcsin_pair(g, z / (2.0 * math.sqrt(n)))
 
 
-def _arcsin_cc(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
-    g = min(max((x - 0.125) / (n + 0.75), 0.0), 1.0)
+def _arcsin_cc(n: int, x, alpha: float, z: float):
+    g = np.minimum(np.maximum((x - 0.125) / (n + 0.75), 0.0), 1.0)
     return _arcsin_pair(g, z / (2.0 * math.sqrt(n + 0.5)))
 
 
-def _pois(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
+def _pois(n: int, x, alpha: float, z: float):
     lo = chi_square_quantile(alpha / 2.0, 2 * x) / (2.0 * n)
     hi = chi_square_quantile(1.0 - alpha / 2.0, 2 * (x + 1)) / (2.0 * n)
     return lo, hi
 
 
-def _wilson(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
+def _wilson(n: int, x, alpha: float, z: float):
     z2 = z * z
     mid = (x + z2 / 2.0) / (n + z2)
-    h = (z / (n + z2)) * math.sqrt(x * (1.0 - x / n) + z2 / 4.0)
+    h = (z / (n + z2)) * np.sqrt(x * (1.0 - x / n) + z2 / 4.0)
     return mid - h, mid + h
 
 
-def _wilson_cc(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
+def _wilson_cc(n: int, x, alpha: float, z: float):
     z2 = z * z
-    lo_arg = max(z2 - 2.0 - 1.0 / n + 4.0 * x * (1.0 - x / n + 1.0 / n), 0.0)
-    hi_arg = max(z2 + 2.0 - 1.0 / n + 4.0 * x * (1.0 - x / n - 1.0 / n), 0.0)
-    lo = (2.0 * x + z2 - 1.0 - z * math.sqrt(lo_arg)) / (2.0 * (n + z2))
-    hi = (2.0 * x + z2 + 1.0 + z * math.sqrt(hi_arg)) / (2.0 * (n + z2))
+    lo_arg = np.maximum(z2 - 2.0 - 1.0 / n + 4.0 * x * (1.0 - x / n + 1.0 / n), 0.0)
+    hi_arg = np.maximum(z2 + 2.0 - 1.0 / n + 4.0 * x * (1.0 - x / n - 1.0 / n), 0.0)
+    lo = (2.0 * x + z2 - 1.0 - z * np.sqrt(lo_arg)) / (2.0 * (n + z2))
+    hi = (2.0 * x + z2 + 1.0 + z * np.sqrt(hi_arg)) / (2.0 * (n + z2))
     return lo, hi
 
 
-def _bcg(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
+def _bcg(n: int, x, alpha: float, z: float):
     z2 = z * z
     mid = (x + z2 / 2.0) / (n + z2)
-    h = z * math.sqrt(x / n**2 * (1.0 - x / n))
+    h = z * np.sqrt(x / n**2 * (1.0 - x / n))
     return mid - h, mid + h
 
 
-def _agresti_coull(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
+def _agresti_coull(n: int, x, alpha: float, z: float):
     z2 = z * z
     pt = (x + z2 / 2.0) / (n + z2)
-    h = z * math.sqrt(pt * (1.0 - pt) / (n + z2))
+    h = z * np.sqrt(pt * (1.0 - pt) / (n + z2))
     return pt - h, pt + h
 
 
-def _add4(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
+def _add4(n: int, x, alpha: float, z: float):
     pt = (x + 2.0) / (n + 4.0)
-    h = z * math.sqrt(pt * (1.0 - pt) / (n + 4.0))
+    h = z * np.sqrt(pt * (1.0 - pt) / (n + 4.0))
     return pt - h, pt + h
 
 
-def _mid_p(n: int, x: int, alpha: float, z: float) -> tuple[float, float]:
+def _mid_p(n: int, x, alpha: float, z: float):
     lo = beta_quantile(alpha / 2.0, x + 0.5, n - x + 0.5)
     hi = beta_quantile(1.0 - alpha / 2.0, x + 0.5, n - x + 0.5)
     return lo, hi
@@ -155,14 +163,14 @@ def _z(kind: str, alpha: float) -> float:
     return normal_quantile(1.0 - alpha / 2.0)
 
 
-def _clipped(kind: str, n: int, x: int, alpha: float, z: float) -> ConfidenceInterval:
-    lo, hi = _FORMULAS[kind](n, x, alpha, z)
-    return ConfidenceInterval(min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0))
+def _clipped(kind: str, n: int, x, alpha: float, z: float):
+    # one formula call over the outcomes x, each endpoint clipped to [0, 1]
+    return tuple(np.minimum(np.maximum(v, 0.0), 1.0) for v in _FORMULAS[kind](n, x, alpha, z))
 
 
 def proportion_interval(kind: str, obs: BinomialObservation, alpha: float) -> ConfidenceInterval:
     """Interval for the success probability, endpoints clipped to [0, 1]."""
-    return _clipped(kind, obs.n, obs.x, alpha, _z(kind, alpha))
+    return _interval(*_clipped(kind, obs.n, obs.x, alpha, _z(kind, alpha)))
 
 
 def _weighted_outcomes(kind: str, n: int, p: float, alpha: float, weights) -> tuple[float, float]:
@@ -170,19 +178,18 @@ def _weighted_outcomes(kind: str, n: int, p: float, alpha: float, weights) -> tu
 
     ``weights[x]`` weighs the outcome of x successes; outcomes of weight
     zero are skipped without issuing their interval.  The kind and alpha
-    are checked once, for the whole sweep.
+    are checked once, and the formula is evaluated once over every
+    remaining outcome.  Both sums run in outcome order (``cumsum``), as a
+    running total would.
     """
     z = _z(kind, alpha)
-    cover = 0.0
-    length = 0.0
-    for x, w in enumerate(weights):
-        if w == 0:
-            continue
-        ci = _clipped(kind, n, x, alpha, z)
-        if ci.contains(p):
-            cover += w
-        length += w * ci.length
-    return cover, length
+    w = np.asarray(weights, dtype=float)
+    x = np.flatnonzero(w)
+    if x.size == 0:
+        return 0.0, 0.0
+    ci = ConfidenceInterval(*_clipped(kind, n, x, alpha, z))
+    w = w[x]
+    return np.cumsum(np.where(ci.contains(p), w, 0.0))[-1], np.cumsum(w * ci.length)[-1]
 
 
 def exact_performance(kind: str, n: int, p: float, alpha: float) -> IntervalPerformance:

@@ -4,8 +4,12 @@ Thin, validated wrappers over ``scipy.special``: the standard normal
 distribution function, and the normal, Student t, chi-square, and beta
 quantiles.  All functions are pure and accept Python floats; they return
 plain floats.  :func:`normal_cdf`, :func:`normal_quantile` and
-:func:`student_t_quantile` also take an array, checked and evaluated
-elementwise, and return an array.
+:func:`student_t_quantile` also take an array of probabilities, and
+:func:`chi_square_quantile` and :func:`beta_quantile` an array of degrees
+of freedom or shapes (each broadcast against ``p``); an array is checked
+and evaluated elementwise and gives an array, equal bit for bit to the
+scalar calls.  A proportion sweep uses these to score all its outcomes in
+one call.
 
 Boundary conventions (needed by estimators at the edge of their support):
 
@@ -82,28 +86,26 @@ def student_t_quantile(p, df: float):
     return float(q) if isinstance(p, float) else q
 
 
-def chi_square_quantile(p: float, df: float) -> float:
-    """Chi-square quantile; the df=0 boundary convention returns 0."""
+def chi_square_quantile(p, df):
+    """Chi-square quantile, elementwise over an array of ``df``; df = 0 gives 0."""
     _check_prob_open(p)
-    if df < 0:
+    d = np.asarray(df)
+    if np.any(d < 0):
         raise DomainError(f"df must be nonnegative, got {df!r}")
-    if df == 0:
-        return 0.0
-    return float(2.0 * _sp.gammaincinv(df / 2.0, p))
+    q = np.where(d == 0, 0.0, 2.0 * _sp.gammaincinv(d / 2.0, p))
+    return float(q) if q.ndim == 0 else q
 
 
-def beta_quantile(p: float, a: float, b: float) -> float:
-    """Beta quantile; zero shape parameters map to the support boundary.
+def beta_quantile(p, a, b):
+    """Beta quantile, elementwise over arrays of shapes; zero shapes map to the support boundary.
 
     ``a == 0`` returns 0 and ``b == 0`` returns 1, the limits of the
     distribution as the shape parameter vanishes.  Both shapes zero is
-    rejected.
+    rejected, as is a negative shape anywhere in an array.
     """
     _check_prob_open(p)
-    if a < 0 or b < 0 or (a == 0 and b == 0):
+    a_, b_ = np.asarray(a), np.asarray(b)
+    if np.any((a_ < 0) | (b_ < 0) | ((a_ == 0) & (b_ == 0))):
         raise DomainError(f"invalid beta shapes a={a!r}, b={b!r}")
-    if a == 0:
-        return 0.0
-    if b == 0:
-        return 1.0
-    return float(_sp.betaincinv(a, b, p))
+    q = np.where(a_ == 0, 0.0, np.where(b_ == 0, 1.0, _sp.betaincinv(a_, b_, p)))
+    return float(q) if q.ndim == 0 else q

@@ -76,6 +76,27 @@ def test_studies_call_the_traced_names():
         assert traced.calls["sampling.generator"] == plan.R, run.__name__
 
 
+PROPORTION_QUANTILES = ("special.beta_quantile", "special.chi_square_quantile", "special.normal_quantile")
+
+
+def test_proportion_sweeps_call_the_traced_quantiles():
+    # the sweeps must reach the quantiles through the proportion_intervals
+    # names the tracer wraps; a formula calling scipy.special directly
+    # would report those per-layer metrics as 0
+    tracer = _load("tracer")
+    plan = ciindex.SimulationPlan(
+        model=ciindex.binomial_model(40, 0.3), n=40, N=1, B=1, R=200, alpha=ALPHA,
+        estimators=ciindex.PROPORTION_ESTIMATORS, master_seed=20260815,
+    )
+    for run in (lambda: ciindex.run_proportion_study(plan),
+                lambda: [ciindex.exact_performance(e, 40, 0.3, ALPHA) for e in ciindex.PROPORTION_ESTIMATORS]):
+        traced = tracer.Tracer(tracer.targets(ciindex))
+        with traced.installed():
+            run()
+        for span in PROPORTION_QUANTILES:
+            assert traced.calls[span] > 0, span
+
+
 def test_setup_probe_names_exist_in_cli():
     names = _patched_cli_names()
     assert names == ["run_mean_study", "run_calibration_study", "run_proportion_study", "apply_index"]

@@ -124,6 +124,10 @@ def test_mean_study_frozen_regression():
 def test_replication_invariants():
     results = run_mean_study(MEAN_PLAN)
     cfg = MEAN_PLAN.index_config
+    # built once, when the plan is validated, and not echoed as a field
+    assert cfg is MEAN_PLAN.index_config
+    assert cfg == IndexConfig(MEAN_PLAN.alpha, MEAN_PLAN.loss, MEAN_PLAN.rescaled)
+    assert "_index_config" not in dataclasses.asdict(MEAN_PLAN)
     for reps, _summary in results.values():
         for rep in reps:
             # coverage counts hits out of N samples

@@ -4,13 +4,19 @@ Runs are derandomized, so the examples are the same on every run and the
 suite stays deterministic.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special, stats
 
 from ciindex import (
     PROPORTION_ESTIMATORS,
     BinomialObservation,
+    ConfidenceInterval,
+    DomainError,
     SeedSpec,
     johnson_t_interval,
     normal_theory_interval,
@@ -56,6 +62,60 @@ def test_mean_intervals_are_affine_equivariant(case):
         assert abs(moved.upper - (a * plain.upper + b)) <= tol
 
 
+def _scalar_interval(kind: str, n: int, x: int, alpha: float) -> tuple[float, float]:
+    # the eleven formulas one outcome at a time in Python floats and math,
+    # with the quantiles' boundary rules: the reference the array formulas
+    # must reproduce bit for bit
+    z = float(special.ndtri(1.0 - alpha / 2.0))
+    z2 = z * z
+
+    def beta_q(q, a, b):
+        return 0.0 if a == 0 else 1.0 if b == 0 else float(special.betaincinv(a, b, q))
+
+    def chi2_q(q, df):
+        return 0.0 if df == 0 else float(2.0 * special.gammaincinv(df / 2.0, q))
+
+    def arcsin_pair(g, h):
+        t = math.asin(math.sqrt(min(max(g, 0.0), 1.0)))
+        return math.sin(t - h) ** 2, math.sin(t + h) ** 2
+
+    def shifted(mid, h):
+        return mid - h, mid + h
+
+    lo_p, hi_p = alpha / 2.0, 1.0 - alpha / 2.0
+    if kind == "exact":
+        lo, hi = beta_q(lo_p, x, n - x + 1), beta_q(hi_p, x + 1, n - x)
+    elif kind == "wald":
+        ph = x / n
+        lo, hi = shifted(ph, z * math.sqrt(ph * (1.0 - ph) / n))
+    elif kind == "arcsin":
+        lo, hi = arcsin_pair((x - 0.5) / n, z / (2.0 * math.sqrt(n)))
+    elif kind == "arcsin_cc":
+        lo, hi = arcsin_pair((x - 0.125) / (n + 0.75), z / (2.0 * math.sqrt(n + 0.5)))
+    elif kind == "pois":
+        lo, hi = chi2_q(lo_p, 2 * x) / (2.0 * n), chi2_q(hi_p, 2 * (x + 1)) / (2.0 * n)
+    elif kind == "wilson":
+        mid = (x + z2 / 2.0) / (n + z2)
+        lo, hi = shifted(mid, (z / (n + z2)) * math.sqrt(x * (1.0 - x / n) + z2 / 4.0))
+    elif kind == "wilson_cc":
+        lo_arg = max(z2 - 2.0 - 1.0 / n + 4.0 * x * (1.0 - x / n + 1.0 / n), 0.0)
+        hi_arg = max(z2 + 2.0 - 1.0 / n + 4.0 * x * (1.0 - x / n - 1.0 / n), 0.0)
+        lo = (2.0 * x + z2 - 1.0 - z * math.sqrt(lo_arg)) / (2.0 * (n + z2))
+        hi = (2.0 * x + z2 + 1.0 + z * math.sqrt(hi_arg)) / (2.0 * (n + z2))
+    elif kind == "bcg":
+        mid = (x + z2 / 2.0) / (n + z2)
+        lo, hi = shifted(mid, z * math.sqrt(x / n**2 * (1.0 - x / n)))
+    elif kind == "agresti_coull":
+        pt = (x + z2 / 2.0) / (n + z2)
+        lo, hi = shifted(pt, z * math.sqrt(pt * (1.0 - pt) / (n + z2)))
+    elif kind == "add4":
+        pt = (x + 2.0) / (n + 4.0)
+        lo, hi = shifted(pt, z * math.sqrt(pt * (1.0 - pt) / (n + 4.0)))
+    else:
+        lo, hi = beta_q(lo_p, x + 0.5, n - x + 0.5), beta_q(hi_p, x + 0.5, n - x + 0.5)
+    return min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0)
+
+
 @st.composite
 def _binomial_cases(draw):
     n = draw(st.integers(1, 3000))
@@ -71,35 +131,50 @@ def test_proportion_intervals_stay_in_unit_interval(case):
     for kind in PROPORTION_ESTIMATORS:
         ci = proportion_interval(kind, obs, alpha)
         assert 0.0 <= ci.lower <= ci.upper <= 1.0
+        assert _bits([ci.lower, ci.upper]) == _bits(_scalar_interval(kind, obs.n, obs.x, alpha)), kind
 
 
 @st.composite
 def _sweep_cases(draw):
-    # weights of the n + 1 outcomes: zeros (skipped), study counts, pmf-like
-    n = draw(st.integers(1, 60))
-    weight = st.one_of(st.just(0), st.integers(1, 50), st.floats(0.0, 1.0))
-    weights = draw(st.lists(weight, min_size=n + 1, max_size=n + 1))
+    # weights of the n + 1 outcomes: zeros (skipped), study counts and
+    # pmf-like values at small n, all zeros, or a binomial pmf up to
+    # n = 1000, whose far tails underflow to zero and are skipped
     p = draw(st.floats(0.001, 0.999))
-    alpha = draw(st.floats(0.001, 0.5))
-    return n, p, alpha, weights
+    alpha = draw(st.floats(0.001, 0.999))
+    shape = draw(st.sampled_from(("mixed", "pmf", "pmf", "zeros")))
+    if shape == "pmf":
+        n = draw(st.integers(40, 1000))
+        return n, p, alpha, stats.binom.pmf(np.arange(n + 1), n, p)
+    n = draw(st.integers(1, 60))
+    if shape == "zeros":
+        return n, p, alpha, [0] * (n + 1)
+    weight = st.one_of(st.just(0), st.integers(1, 50), st.floats(0.0, 1.0))
+    return n, p, alpha, draw(st.lists(weight, min_size=n + 1, max_size=n + 1))
 
 
-# a sweep checks its kind and alpha and takes its normal quantile once;
-# every outcome's interval must still be the public call's, bit for bit
+# a sweep checks its kind and alpha once and scores every outcome with one
+# formula call; its sums must be the running totals of the scalar formulas
 @PROPERTY
 @given(_sweep_cases())
-def test_sweep_equals_the_tally_of_public_calls(case):
+def test_sweep_equals_the_tally_of_scalar_formulas(case):
     n, p, alpha, weights = case
     for kind in PROPORTION_ESTIMATORS:
         cover = 0.0
         length = 0.0
-        for x, w in enumerate(weights):
-            if w == 0:
-                continue
-            ci = proportion_interval(kind, BinomialObservation(n, x), alpha)
-            if ci.contains(p):
-                cover += w
-            length += w * ci.length
+        try:
+            for x, w in enumerate(weights):
+                if w == 0:
+                    continue
+                ci = ConfidenceInterval(*_scalar_interval(kind, n, x, alpha))
+                if ci.contains(p):
+                    cover += w
+                length += w * ci.length
+        except DomainError:
+            # an arcsine interval wraps past pi / 2 and inverts (lower >
+            # upper) at n = 1 and alpha below about 0.002; both must raise
+            with pytest.raises(DomainError):
+                _weighted_outcomes(kind, n, p, alpha, weights)
+            continue
         assert _bits(_weighted_outcomes(kind, n, p, alpha, weights)) == _bits([cover, length]), kind
 
 

@@ -119,6 +119,43 @@ def test_beta_degenerate_shapes():
         beta_quantile(0.4, 0.0, 0.0)
 
 
+def test_quantile_arrays_match_scalar_calls():
+    # shapes and df over arrays, boundary values included, bit for bit
+    a = np.array([0, 0.5, 1, 2.5, 3, 40, 999.5])
+    b = np.array([3, 0.5, 0, 7, 1.5, 0.5, 1])
+    df = np.array([0, 1, 2, 7, 60, 2000])
+    for p in (0.0005, 0.025, 0.5, 0.975):
+        got = beta_quantile(p, a, b)
+        assert got.shape == a.shape
+        want = [beta_quantile(p, float(ai), float(bi)) for ai, bi in zip(a, b)]
+        assert got.tobytes() == np.array(want).tobytes()
+        got = chi_square_quantile(p, df)
+        assert got.tobytes() == np.array([chi_square_quantile(p, int(d)) for d in df]).tobytes()
+    assert beta_quantile(0.3, a, b)[[0, 2]].tolist() == [0.0, 1.0]
+    assert chi_square_quantile(0.3, df)[0] == 0.0
+
+
+def test_quantile_scalars_return_floats():
+    for value in (beta_quantile(0.3, 2, 5), beta_quantile(0.3, 0, 5), chi_square_quantile(0.3, 4),
+                  chi_square_quantile(0.3, 0), beta_quantile(0.3, np.float64(2.0), 5)):
+        assert type(value) is float
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: beta_quantile(0.5, np.array([1.0, -1.0]), np.array([2.0, 2.0])),
+        lambda: beta_quantile(0.5, np.array([1.0, 2.0]), np.array([2.0, -0.5])),
+        lambda: beta_quantile(0.5, np.array([1.0, 0.0]), np.array([2.0, 0.0])),
+        lambda: chi_square_quantile(0.5, np.array([0, 3, -2])),
+        lambda: beta_quantile(1.0, np.array([1.0, 2.0]), np.array([2.0, 3.0])),
+    ],
+)
+def test_quantile_arrays_reject_invalid_entries(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 @pytest.mark.parametrize(
     "call",
     [
