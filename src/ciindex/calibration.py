@@ -8,13 +8,17 @@ search.  For each resample the studentized statistic ``t*_j = sqrt(n) *
 is the empirical alpha-quantile of the lambda values, floored at
 ``1 / (2B)`` so a working level of exactly zero can never be issued.
 
-The rule is stated once, for a block of samples: :func:`_lambdas` takes
-the ``(m, n)`` samples with their ``(m, B)`` resample means and standard
-deviations and gives the ``(m, B)`` lambdas, and :func:`_beta_from_lambdas`
-gives the ``(m,)`` levels; one sample, with ``(B,)`` resample statistics,
-is the one-row case and gives a float level.  The calibration study calls
-both once per block of samples; :func:`calibrate_level` is the single
-sample entry point.
+The rule is evaluated in order-statistic form: lambda falls as ``|t*|``
+grows, so the ``ceil(alpha * B)``-th smallest lambda is the lambda at the
+``ceil(alpha * B)``-th largest ``|t*|``, and a sample needs one partial
+sort and one evaluation of the normal distribution function, not B.  A
+zero-sd resample has ``|t*| = inf``, whose lambda is 0.  The rule is
+stated once, for a block of samples: :func:`_lambdas` gives the ``(m,
+B)`` values ``|t*|`` of ``(m, n)`` samples from their resample means and
+standard deviations, and :func:`_beta_from_lambdas` the ``(m,)`` levels;
+one sample is the one-row case and gives a float level.  The calibration
+study calls both once per block of samples; :func:`calibrate_level` is
+the single sample entry point and also reports all B lambdas.
 
 This module holds only the level rule.  The harness issues intervals at
 the calibrated level, both in the calibration study and through
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mean_intervals import _as_sample, _order_statistic
+from .mean_intervals import _as_sample
 from .sampling import SeedSpec, bootstrap_resamples
 from .special import _check_prob_open, normal_cdf
 
@@ -60,26 +64,38 @@ class CalibrationResult:
 
 
 def _lambdas(values: np.ndarray, means: np.ndarray, sds: np.ndarray) -> np.ndarray:
-    # one lambda per resample, row by row; zero-sd resamples mean t is
-    # infinite, so their lambda is 0
-    out = np.zeros(means.shape)
-    ok = sds > 0.0
-    center = np.broadcast_to(values.mean(axis=-1, keepdims=True), means.shape)
-    t = math.sqrt(values.shape[-1]) * (means[ok] - center[ok]) / sds[ok]
-    out[ok] = 1.0 - normal_cdf(np.abs(t))
-    return out
+    # |t*| of every resample, row by row: lambda = 1 - Phi(|t*|) falls as
+    # |t*| grows, so these order the lambdas in reverse; a zero-sd
+    # resample has an infinite t, whose lambda is 0
+    scaled = math.sqrt(values.shape[-1]) * (means - values.mean(axis=-1, keepdims=True))
+    t = np.divide(scaled, sds, out=np.full(means.shape, np.inf), where=sds > 0.0)
+    return np.abs(t, out=t)
 
 
-def _beta_from_lambdas(lambdas: np.ndarray, alpha: float) -> float | np.ndarray:
-    # the ceil(alpha * B) order statistic of each row, floored at 1/(2B)
-    beta = np.maximum(_order_statistic(np.sort(lambdas, axis=-1), alpha), 1.0 / (2.0 * lambdas.shape[-1]))
+def _upper_tail(abs_t) -> np.ndarray:
+    # lambda = 1 - Phi(|t*|) elementwise, 0 at |t*| = inf
+    finite = np.isfinite(abs_t)
+    return np.where(finite, 1.0 - normal_cdf(np.where(finite, abs_t, 0.0)), 0.0)
+
+
+def _beta_from_lambdas(abs_t: np.ndarray, alpha: float) -> float | np.ndarray:
+    # the ceil(alpha * B)-th smallest lambda of each row, which is lambda
+    # at the ceil(alpha * B)-th largest |t*|, floored at 1/(2B)
+    B = abs_t.shape[-1]
+    k = B - min(max(math.ceil(alpha * B), 1), B)
+    beta = np.maximum(_upper_tail(np.partition(abs_t, k, axis=-1)[..., k]), 1.0 / (2.0 * B))
     return float(beta) if beta.ndim == 0 else beta
 
 
-def _row_sds(boot: np.ndarray, means: np.ndarray) -> np.ndarray:
+def _row_sds(boot: np.ndarray, means: np.ndarray, out=None, work=None) -> np.ndarray:
     # boot.std(axis=1, ddof=1), bit for bit, from the row means already in
-    # hand: numpy's own steps without its second pass for the mean
-    return np.sqrt(np.square(boot - means[:, None]).sum(axis=1) / (boot.shape[1] - 1))
+    # hand: numpy's own steps without its second pass for the mean, into
+    # the (B,) out and (B, n) work buffers when given
+    work = np.subtract(boot, means[:, None], out=work)
+    np.square(work, out=work)
+    out = np.add.reduce(work, axis=1, out=out)
+    out /= boot.shape[1] - 1
+    return np.sqrt(out, out=out)
 
 
 def _resample_stats(sample, alpha: float, B: int, seed: SeedSpec):
@@ -96,7 +112,10 @@ def calibrate_level(sample, alpha: float, B: int, seed: SeedSpec) -> Calibration
 
     Draws B resamples from ``seed`` and applies the lambda-quantile rule:
     ``beta`` is the ``ceil(alpha * B)`` order statistic of the lambdas,
-    floored at ``1/(2B)``, hence always in ``[1/(2B), 0.5]``.
+    floored at ``1/(2B)``, hence always in ``[1/(2B), 0.5]``.  It is
+    found in order-statistic form, as lambda at the ``ceil(alpha * B)``-th
+    largest ``|t*|``, as in a calibration study.
     """
-    lam = _lambdas(*_resample_stats(sample, alpha, B, seed))
-    return CalibrationResult(beta=_beta_from_lambdas(lam, alpha), lambdas=tuple(lam.tolist()))
+    abs_t = _lambdas(*_resample_stats(sample, alpha, B, seed))
+    lambdas = tuple(_upper_tail(abs_t).tolist())
+    return CalibrationResult(beta=_beta_from_lambdas(abs_t, alpha), lambdas=lambdas)

@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -296,8 +298,21 @@ def _quantized_triple(coverage: float, length: float, cfg: IndexConfig) -> tuple
     return _fmt(cov_q), _fmt(len_q), _fmt(idx)
 
 
+@contextlib.contextmanager
+def _atomic_open(path: Path, **kwargs):
+    # write a sibling temporary file and move it onto path once complete,
+    # so a failed write leaves neither a partial output nor the temporary
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", **kwargs) as handle:
+            yield handle
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_csv(path: Path, comments: list[str], header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with _atomic_open(path, newline="", encoding="utf-8") as handle:
         for line in comments:
             handle.write(f"# {line}\n")
         writer = csv.writer(handle)
@@ -324,7 +339,7 @@ def _write_metadata(out_dir: Path, echo: dict, extra: dict | None = None) -> lis
     }
     if extra:
         record.update(extra)
-    with open(out_dir / "run_metadata.json", "w", encoding="utf-8") as handle:
+    with _atomic_open(out_dir / "run_metadata.json", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
     if "master_seed" not in echo:
@@ -567,7 +582,10 @@ _RUNNERS = {
 # ---------------------------------------------------------------- entry
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on first use, not at import, and kept: each add_argument sizes
+    # a help formatter to the terminal; parse_args leaves the parser as is
     parser = argparse.ArgumentParser(
         prog="ciindex",
         description="Score and compare confidence-interval estimators with a single index.",

@@ -214,7 +214,7 @@ def summarize_index(results: list[ReplicationResult]) -> IndexSummary:
     return IndexSummary(coverage, mean_length, mean, g1, g2, st_dev)
 
 
-def _issue_interval(kind: str, values: np.ndarray, alpha: float, boot_means):
+def _issue_interval(kind: str, values: np.ndarray, alpha, boot_means):
     if kind == "normal_theory":
         return normal_theory_interval(values, alpha)
     if kind == "johnson_t":
@@ -258,11 +258,13 @@ def _replication(
     which is shared by every estimator.
 
     Only the per-stream work runs sample by sample: the resample draw and
-    its row of means (and of standard deviations when calibrating).  The
-    levels, the intervals and the tallies run once per block of
-    ``_BLOCK_ROWS`` samples.  Lengths and levels are summed in sample
-    order (``cumsum``), as a running total would, so every result is the
-    same to the last bit whatever the block size.
+    its row of means (and of standard deviations when calibrating), each
+    written into a preallocated block.  The levels, the intervals and the
+    tallies run once per block of ``_BLOCK_ROWS`` samples, and each
+    estimator is issued once per block: at alpha alone, or at the
+    ``(2, m)`` stack of alpha and each sample's beta.  Lengths and levels
+    are summed in sample order (``cumsum``), as a running total would, so
+    every result is the same to the last bit whatever the block size.
     """
     seed = SeedSpec(plan.master_seed)
     matrix = _draw(plan.model, (plan.N, plan.n), seed.child(1, r))
@@ -277,25 +279,27 @@ def _replication(
     betas = np.empty(plan.N)
     means = np.empty((_BLOCK_ROWS, plan.B))
     sds = np.empty((_BLOCK_ROWS, plan.B))
+    work = np.empty((plan.B, plan.n))
     for start in range(0, plan.N, _BLOCK_ROWS):
         rows = matrix[start:start + _BLOCK_ROWS]
         m = rows.shape[0]
         if needs_boot:
             for j in range(m):
                 boot = _resample(rows[j], plan.B, next(streams))
-                means[j] = boot.mean(axis=1)
+                # boot.mean(axis=1), bit for bit, without numpy's wrapper
+                row = np.add.reduce(boot, axis=1, out=means[j])
+                row /= plan.n
                 if calibrate:
-                    sds[j] = _row_sds(boot, means[j])
-        levels = [plan.alpha]
+                    _row_sds(boot, row, sds[j], work)
+        levels = plan.alpha
         if calibrate:
             beta = _beta_from_lambdas(_lambdas(rows, means[:m], sds[:m]), plan.alpha)
             betas[start:start + m] = beta
-            levels.append(beta)
-        for k, level in enumerate(levels):
-            for j, e in enumerate(plan.estimators):
-                ci = _issue_interval(e, rows, level, means[:m])
-                covers[k, j] += np.count_nonzero(ci.contains(theta))
-                lengths[k, j, start:start + m] = ci.length
+            levels = np.stack([np.full(m, plan.alpha), beta])
+        for j, e in enumerate(plan.estimators):
+            ci = _issue_interval(e, rows, levels, means[:m])
+            covers[:, j] += np.count_nonzero(ci.contains(theta), axis=-1)
+            lengths[:, j, start:start + m] = ci.length
 
     mean_beta = float(np.cumsum(betas)[-1]) / plan.N if calibrate else math.nan
     return covers / plan.N, np.cumsum(lengths, axis=-1)[..., -1] / plan.N, mean_beta

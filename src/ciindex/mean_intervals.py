@@ -7,11 +7,16 @@ accelerated (BCa) bootstrap interval.  All four return a
 for the bootstrap pair, of a :class:`~ciindex.sampling.SeedSpec`.
 
 Each estimator takes one sample, shape ``(n,)``, or a block of samples,
-shape ``(m, n)`` with one sample per row; ``alpha`` is one level, or an
-array of one level per row.  A block gives a :class:`ConfidenceInterval`
-with ``(m,)`` endpoint arrays whose row i equals, bit for bit, the
-interval of row i on its own, so the simulation harness issues each
-estimator once per block of samples.  One sample gives float endpoints.
+shape ``(m, n)`` with one sample per row.  ``alpha`` is one level, one
+level per row, shape ``(m,)``, or k of those along a leading level axis,
+shape ``(k, m)`` (``(k,)`` for one sample).  A block gives a
+:class:`ConfidenceInterval` with ``(m,)`` or ``(k, m)`` endpoint arrays
+whose entry for level j of row i equals, bit for bit, the interval of row
+i on its own at that level.  The level-free work (mean, sd, skewness, the
+sort of the resample means, BCa's bias correction and acceleration) runs
+once for all k levels, so the simulation harness issues each estimator
+once per block of samples, at alpha and the calibrated level together.
+One sample at one level gives float endpoints.
 
 The two bootstrap estimators accept precomputed resample means, shape
 ``(B,)`` or ``(m, B)``, through the ``*_from_boot_means`` variants so a
@@ -51,7 +56,8 @@ class ConfidenceInterval:
     """Closed interval [lower, upper] for a scalar parameter.
 
     For a block of samples the endpoints are ``(m,)`` arrays, one interval
-    per row; :attr:`length` and :meth:`contains` then work elementwise.
+    per row, or ``(k, m)`` arrays for k levels; :attr:`length` and
+    :meth:`contains` then work elementwise.
     """
 
     lower: float | np.ndarray
@@ -110,9 +116,13 @@ def _as_means(boot_means) -> np.ndarray:
 
 
 def _check_levels(alpha, block: np.ndarray) -> None:
-    # one level for every row, or an array holding one level per row
-    if isinstance(alpha, np.ndarray) and alpha.ndim and alpha.shape != block.shape[:-1]:
-        raise DomainError(f"alpha must be one level or one per row, got shape {alpha.shape}")
+    # one level for every row, an array of one level per row, or a stack
+    # of those along one leading level axis
+    rows = block.shape[:-1]
+    if isinstance(alpha, np.ndarray) and alpha.ndim and (
+        alpha.ndim > len(rows) + 1 or alpha.shape[alpha.ndim - len(rows):] != rows
+    ):
+        raise DomainError(f"alpha must be one level, one per row or (levels, rows), got shape {alpha.shape}")
     _check_prob_open(alpha, "alpha")
 
 
@@ -138,7 +148,7 @@ def sample_skewness(sample) -> float | np.ndarray:
 
 
 def normal_theory_interval(sample, alpha: float | np.ndarray) -> ConfidenceInterval:
-    """z interval: mean +/- z_{1-alpha/2} * s / sqrt(n), per sample.
+    """z interval: mean +/- z_{1-alpha/2} * s / sqrt(n), per sample and level.
 
     ``s`` is the unbiased (n-1 denominator) standard deviation.  A
     zero-variance sample yields the degenerate interval at the mean.
@@ -185,11 +195,13 @@ def bootstrap_mean_draws(sample, B: int, seed: SeedSpec) -> np.ndarray:
 
 def _order_statistic(sorted_values: np.ndarray, p) -> np.ndarray:
     # ceil(p * B) order statistic of each row, 1-indexed, clamped into
-    # [1, B]; p is one probability or one per row
+    # [1, B]; p is one probability, one per row or (levels, rows), and the
+    # sorted rows are broadcast against it without a copy
     B = sorted_values.shape[-1]
     k = np.clip(np.ceil(np.multiply(p, B)), 1, B).astype(np.intp)
-    k = np.broadcast_to(k, sorted_values.shape[:-1])
-    return np.take_along_axis(sorted_values, k[..., None] - 1, axis=-1)[..., 0]
+    shape = np.broadcast_shapes(k.shape, sorted_values.shape[:-1])
+    rows = np.broadcast_to(sorted_values, shape + (B,))
+    return np.take_along_axis(rows, np.broadcast_to(k, shape)[..., None] - 1, axis=-1)[..., 0]
 
 
 def percentile_from_boot_means(boot_means, alpha: float | np.ndarray) -> ConfidenceInterval:

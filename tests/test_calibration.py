@@ -23,24 +23,31 @@ from ciindex.mean_intervals import (
     normal_theory_interval,
     percentile_from_boot_means,
 )
+from ciindex.special import normal_quantile
 
 SAMPLE = [0.2, 0.5, 1.1, 2.0, 3.7, 5.9, 8.0, 9.4, 12.3, 20.1]
 SEED = SeedSpec(20260815, (2, 0, 0))
 
 
+def _abs_t(lambdas) -> np.ndarray:
+    # the |t*| values whose lambdas 1 - Phi(|t*|) are ``lambdas``, the
+    # input _beta_from_lambdas orders
+    return normal_quantile(1.0 - np.asarray(lambdas))
+
+
 def test_beta_quantile_rule_small_example():
     # B = 5, alpha = 0.05: ceil(0.25) = 1st order statistic, then the
     # 1/(2B) floor lifts 0.01 to 0.1
-    lambdas = np.array([0.05, 0.01, 0.04, 0.02, 0.03])
-    assert _beta_from_lambdas(lambdas, 0.05) == pytest.approx(0.1, abs=1e-15)
+    abs_t = _abs_t([0.05, 0.01, 0.04, 0.02, 0.03])
+    assert _beta_from_lambdas(abs_t, 0.05) == pytest.approx(0.1, abs=1e-15)
 
 
 def test_beta_quantile_rule_no_floor():
     # B = 20: ceil(1) = 1st order statistic, floor 0.025 does not bind
     lambdas = np.linspace(0.03, 0.5, 20)
-    assert _beta_from_lambdas(lambdas, 0.05) == pytest.approx(0.03, abs=1e-15)
+    assert _beta_from_lambdas(_abs_t(lambdas), 0.05) == pytest.approx(0.03, abs=1e-15)
     # alpha = 0.2: ceil(4) = 4th order statistic
-    assert _beta_from_lambdas(lambdas, 0.2) == pytest.approx(
+    assert _beta_from_lambdas(_abs_t(lambdas), 0.2) == pytest.approx(
         float(np.sort(lambdas)[3]), abs=1e-15
     )
 
@@ -63,7 +70,7 @@ def test_beta_always_within_hard_bounds():
 
 def test_all_zero_t_statistics_give_half():
     # t exactly zero means lambda = 1 - Phi(0) = 0.5 for every resample
-    assert _beta_from_lambdas(np.full(40, 0.5), 0.05) == 0.5
+    assert _beta_from_lambdas(np.zeros(40), 0.05) == 0.5
 
 
 def test_degenerate_sample_all_equal():

@@ -12,6 +12,7 @@ import pytest
 from ciindex import IndexConfig
 from ciindex.cli import (
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_VALIDATION,
     ExternalPerformanceRow,
     ReportRow,
@@ -92,6 +93,33 @@ def test_rerun_is_byte_identical(tmp_path):
         assert main(["simulate-mean", "--config", str(cfg), "--out", str(tmp_path / sub)]) == EXIT_OK
     for name in ("replications.csv", "summary.csv", "run_metadata.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    # each output is written to a temporary file and moved into place only
+    # once complete: a writer failing partway through replications.csv
+    # leaves the earlier complete run's file and no temporary file
+    cfg = _write(tmp_path, "mean.ini", MEAN_INI)
+    out = tmp_path / "out"
+    fresh = tmp_path / "fresh"
+    assert main(["simulate-mean", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real_writer = csv.writer
+
+    class Failing:
+        def __init__(self, handle):
+            self._writer = real_writer(handle)
+            self.writerow = self._writer.writerow
+
+        def writerows(self, rows):
+            self._writer.writerow(rows[0])
+            raise OSError("disk full")
+
+    monkeypatch.setattr(csv, "writer", Failing)
+    assert main(["simulate-mean", "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert main(["simulate-mean", "--config", str(cfg), "--out", str(fresh)]) == EXIT_RUNTIME
+    assert sorted(p.name for p in fresh.iterdir()) == ["run_metadata.json"]
 
 
 def test_seed_flag_overrides_config(tmp_path):

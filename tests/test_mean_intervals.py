@@ -187,3 +187,28 @@ def test_alpha_validation():
         bootstrap_percentile_interval(FIVE, 1.0, 50, SeedSpec(1))
     with pytest.raises(DomainError):
         bootstrap_mean_draws(FIVE, 0, SeedSpec(1))
+
+
+@pytest.mark.parametrize(
+    "rows, shape",
+    [
+        (1, (2, 2)),     # one sample takes one level axis at most
+        (1, (1, 1)),
+        (2, (3,)),       # one level per row must match the rows
+        (2, (2, 3)),     # (levels, rows) must end in the rows
+        (2, (2, 1)),     # no implicit broadcast across rows
+        (2, (2, 2, 2)),  # at most one level axis
+    ],
+)
+def test_level_arrays_must_end_in_the_rows(rows, shape):
+    values = np.array(FIVE) if rows == 1 else np.array([FIVE, SKEWED])
+    means = values + 0.5
+    alpha = np.full(shape, 0.05)
+    for call in (
+        lambda: normal_theory_interval(values, alpha),
+        lambda: johnson_t_interval(values, alpha),
+        lambda: percentile_from_boot_means(means, alpha),
+        lambda: bca_from_boot_means(values, means, alpha),
+    ):
+        with pytest.raises(DomainError, match="alpha must be one level"):
+            call()

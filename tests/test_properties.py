@@ -22,13 +22,14 @@ from ciindex import (
     normal_theory_interval,
     proportion_interval,
 )
-from ciindex.calibration import _beta_from_lambdas, _lambdas, _row_sds
+from ciindex.calibration import _beta_from_lambdas, _lambdas, _row_sds, _upper_tail
 from ciindex.mean_intervals import (
     bca_from_boot_means,
     bootstrap_mean_draws,
     percentile_from_boot_means,
 )
 from ciindex.proportion_intervals import _weighted_outcomes
+from ciindex.special import normal_cdf
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 SEED = SeedSpec(20260815, (2, 0, 0))
@@ -200,13 +201,14 @@ def test_row_sds_equal_numpy_std(boot):
 @st.composite
 def _block_cases(draw):
     # a block of m samples with their resample means and sds; small
-    # integer data gives tied values and tied resample means, and some
-    # rows are constant (zero variance).  Rows longer than numpy's
+    # integer data gives tied values and tied resample means, some rows
+    # are constant (zero variance), and some resamples repeat one value
+    # (zero sd) in a row that varies.  Rows longer than numpy's
     # 128-element summation block come from the generator, rounded to
     # integers so they hold ties too
     m = draw(st.integers(1, 6))
     n = draw(st.one_of(st.integers(3, 12), st.just(300)))
-    B = draw(st.integers(2, 40))
+    B = draw(st.one_of(st.integers(2, 40), st.just(200)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     value = st.one_of(st.integers(-3, 3).map(float), st.floats(-100.0, 100.0))
     rows = []
@@ -219,7 +221,11 @@ def _block_cases(draw):
             row = [row[0]] * n
         rows.append(row)
     values = np.array(rows)
-    boot = values[np.arange(m)[:, None, None], rng.integers(0, n, size=(m, B, n))]
+    picks = rng.integers(0, n, size=(m, B, n))
+    if draw(st.booleans()):
+        single = rng.random((m, B)) < 0.3
+        picks[single] = picks[single][:, :1]
+    boot = values[np.arange(m)[:, None, None], picks]
     level = st.floats(0.001, 0.5)
     if draw(st.booleans()):
         alpha = draw(level)
@@ -232,6 +238,15 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
+def _four(values, means, alpha) -> dict:
+    return {
+        "normal_theory": normal_theory_interval(values, alpha),
+        "johnson_t": johnson_t_interval(values, alpha),
+        "percentile": percentile_from_boot_means(means, alpha),
+        "bca": bca_from_boot_means(values, means, alpha),
+    }
+
+
 # the harness issues every estimator and the level rule once per block of
 # samples; each row of a block call must be the one-sample call, bit for bit
 @PROPERTY
@@ -240,12 +255,7 @@ def test_block_calls_equal_their_one_row_calls(case):
     values, means, sds, alpha = case
     rows = range(values.shape[0])
     level = [alpha if np.ndim(alpha) == 0 else float(alpha[i]) for i in rows]
-    block = {
-        "normal_theory": normal_theory_interval(values, alpha),
-        "johnson_t": johnson_t_interval(values, alpha),
-        "percentile": percentile_from_boot_means(means, alpha),
-        "bca": bca_from_boot_means(values, means, alpha),
-    }
+    block = _four(values, means, alpha)
     one = {
         "normal_theory": [normal_theory_interval(values[i], level[i]) for i in rows],
         "johnson_t": [johnson_t_interval(values[i], level[i]) for i in rows],
@@ -258,8 +268,51 @@ def test_block_calls_equal_their_one_row_calls(case):
         for i in rows:
             assert isinstance(one[name][i].lower, float)
 
-    lambdas = _lambdas(values, means, sds)
-    assert _bits(lambdas) == _bits([_lambdas(values[i], means[i], sds[i]) for i in rows])
+    # k levels in one call: a (2, m) stack gives each level's block call,
+    # and two levels for one sample give its two one-level calls
+    stack = np.stack([np.full(len(rows), 0.05), np.array(level)])
+    at_05 = _four(values, means, 0.05)
+    paired = _four(values[0], means[0], stack[:, 0])
+    for name, ci in _four(values, means, stack).items():
+        ci0 = paired[name]
+        for k, single in enumerate((at_05[name], block[name])):
+            assert _bits(ci.lower[k]) == _bits(single.lower), name
+            assert _bits(ci.upper[k]) == _bits(single.upper), name
+            assert _bits(ci0.lower[k]) == _bits(single.lower[0]), name
+            assert _bits(ci0.upper[k]) == _bits(single.upper[0]), name
+
+    abs_t = _lambdas(values, means, sds)
+    assert _bits(abs_t) == _bits([_lambdas(values[i], means[i], sds[i]) for i in rows])
     for a in (0.05, level[0]):
-        betas = _beta_from_lambdas(lambdas, a)
-        assert _bits(betas) == _bits([_beta_from_lambdas(lambdas[i], a) for i in rows])
+        betas = _beta_from_lambdas(abs_t, a)
+        assert _bits(betas) == _bits([_beta_from_lambdas(abs_t[i], a) for i in rows])
+
+
+def _seed_level_rule(values, means, sds, alpha):
+    # the level rule over all B lambdas, as first stated: lambda = 1 -
+    # Phi(|t*|), 0 for a zero-sd resample; each row sorted, its ceil(alpha
+    # * B)-th value taken and floored at 1/(2B)
+    lambdas = np.zeros(means.shape)
+    ok = sds > 0.0
+    center = np.broadcast_to(values.mean(axis=-1, keepdims=True), means.shape)
+    t = math.sqrt(values.shape[-1]) * (means[ok] - center[ok]) / sds[ok]
+    lambdas[ok] = 1.0 - normal_cdf(np.abs(t))
+    B = means.shape[-1]
+    k = min(max(math.ceil(alpha * B), 1), B)
+    return lambdas, np.maximum(np.sort(lambdas, axis=-1)[:, k - 1], 1.0 / (2.0 * B))
+
+
+# the level rule takes one partial sort of |t*| and one cdf per sample;
+# that equals the alpha-quantile of all B lambdas only while lambda is
+# non-increasing in |t*| in floating point, so this pins the two forms
+# together, at k = 1 (alpha * B <= 1) and k = B (alpha > (B - 1) / B) too
+@PROPERTY
+@given(_block_cases(), st.sampled_from(["level", "first", "last"]))
+def test_beta_equals_the_alpha_quantile_of_all_lambdas(case, which):
+    values, means, sds, alpha = case
+    B = means.shape[-1]
+    alpha = {"level": float(np.ravel(alpha)[0]), "first": 0.5 / B, "last": 1.0 - 0.5 / B}[which]
+    lambdas, want = _seed_level_rule(values, means, sds, alpha)
+    abs_t = _lambdas(values, means, sds)
+    assert _bits(_beta_from_lambdas(abs_t, alpha)) == _bits(want)
+    assert _bits(_upper_tail(abs_t)) == _bits(lambdas)
