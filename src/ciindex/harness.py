@@ -28,7 +28,6 @@ would.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -308,6 +307,9 @@ def _replication(
 def _map_replications(fn, R: int, n_workers: int) -> list:
     if n_workers <= 1:
         return [fn(r) for r in range(R)]
+    # imported here: a single-worker run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(fn, range(R)))
 

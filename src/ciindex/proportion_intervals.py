@@ -10,6 +10,9 @@ the add-4 adjustment, and the mid-p (Jeffreys-type) Beta interval.
 :func:`exact_performance` computes coverage and expected length exactly by
 summing the binomial pmf over all n + 1 outcomes, with no Monte Carlo,
 which makes it the reference any simulated run can be checked against.
+The pmf comes from :mod:`ciindex.special`, through the kernel that
+``scipy.stats.binom.pmf`` calls, so the oracle gives the same bytes as
+``scipy.stats`` without importing it.
 Such a sweep (and a proportion study's) evaluates each formula once, over
 the array of outcomes it scores; the Beta and chi-square quantiles take
 arrays of shapes and degrees of freedom for it.  The arcsine formulas
@@ -35,7 +38,13 @@ import numpy as np
 from .errors import DomainError
 from .index import IntervalPerformance
 from .mean_intervals import ConfidenceInterval, _interval
-from .special import _check_prob_open, beta_quantile, chi_square_quantile, normal_quantile
+from .special import (
+    _binomial_pmf,
+    _check_prob_open,
+    beta_quantile,
+    chi_square_quantile,
+    normal_quantile,
+)
 
 __all__ = [
     "BinomialObservation",
@@ -201,10 +210,5 @@ def exact_performance(kind: str, n: int, p: float, alpha: float) -> IntervalPerf
     if not (isinstance(n, int) and 1 <= n <= 10**4):
         raise DomainError(f"n must be an integer in [1, 10^4], got {n!r}")
     _check_prob_open(p)
-    # imported here: scipy.stats costs more to import than the rest of the
-    # package together, and nothing else uses it
-    from scipy import stats
-
-    pmf = stats.binom.pmf(np.arange(n + 1), n, p)
-    coverage, length = _weighted_outcomes(kind, n, p, alpha, pmf)
+    coverage, length = _weighted_outcomes(kind, n, p, alpha, _binomial_pmf(n, p))
     return IntervalPerformance(min(coverage, 1.0), length)

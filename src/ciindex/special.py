@@ -16,6 +16,17 @@ Boundary conventions (needed by estimators at the edge of their support):
 * chi-square with ``df == 0``: the distribution degenerates at 0, so any
   quantile is 0.
 * beta with ``a == 0``: quantile is 0; with ``b == 0``: quantile is 1.
+
+The private :func:`_binomial_pmf` gives the Binomial(n, p) pmf over all
+n + 1 outcomes for the exact proportion oracle.  It calls
+``scipy.special._ufuncs._binom_pmf``, the kernel that
+``scipy.stats.binom.pmf`` itself evaluates, and clips to [0, 1] as
+``scipy.stats`` does, so its bytes are those of ``scipy.stats``.  The
+private name is reached for on purpose: ``scipy.stats`` costs more to
+import than the rest of the package together, and tens of microseconds
+of argument handling per call.  A scipy without the kernel
+falls back to ``scipy.stats.binom.pmf``; the choice is made once, at
+import.
 """
 
 from __future__ import annotations
@@ -27,6 +38,11 @@ from scipy import special as _sp
 
 from .errors import DomainError
 
+try:
+    from scipy.special._ufuncs import _binom_pmf as _binom_pmf_kernel
+except ImportError:  # a scipy release without the kernel
+    _binom_pmf_kernel = None
+
 __all__ = [
     "beta_quantile",
     "chi_square_quantile",
@@ -34,6 +50,17 @@ __all__ = [
     "normal_quantile",
     "student_t_quantile",
 ]
+
+
+def _binomial_pmf(n: int, p: float) -> np.ndarray:
+    # P(X = x) for x = 0..n under Binomial(n, p), bit for bit
+    # scipy.stats.binom.pmf(np.arange(n + 1), n, p)
+    x = np.arange(n + 1)
+    if _binom_pmf_kernel is None:
+        from scipy import stats
+
+        return stats.binom.pmf(x, n, p)
+    return np.clip(_binom_pmf_kernel(x, n, p), 0.0, 1.0)
 
 
 def _check_prob_open(p, name: str = "p") -> None:

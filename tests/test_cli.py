@@ -423,14 +423,16 @@ def test_python_m_ciindex_matches_main(tmp_path):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is imported only by exact_performance; a fresh process
-    # is needed because this suite itself loads it
+    # nothing in the package imports scipy.stats, and the process pool is
+    # imported only by a multi-worker run; a fresh process is needed
+    # because this suite itself loads both
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     child = subprocess.run(
         [sys.executable, "-c",
-         "import sys, ciindex, ciindex.cli; print('scipy.stats' in sys.modules)"],
+         "import sys, ciindex, ciindex.cli; "
+         "print([m in sys.modules for m in ('scipy.stats', 'concurrent.futures.process')])"],
         cwd=REPO, env=env, capture_output=True, text=True, check=False,
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == "False"
+    assert child.stdout.strip() == "[False, False]"

@@ -1,6 +1,10 @@
 """Binomial interval catalog: anchors, closed forms, symmetry, clipping."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +139,27 @@ def test_exact_performance_exact_estimator_conservative():
         perf = exact_performance("exact", n, p, 0.05)
         assert perf.coverage >= 0.95
         assert perf.coverage <= 1.0
+
+
+def test_exact_performance_leaves_scipy_stats_unloaded():
+    # the oracle's pmf comes from the scipy.special kernel; a fresh process
+    # is needed because this suite itself loads scipy.stats
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from ciindex import PROPORTION_ESTIMATORS, exact_performance\n"
+        "for kind in PROPORTION_ESTIMATORS:\n"
+        "    exact_performance(kind, 40, 0.3, 0.05)\n"
+        "print(len(PROPORTION_ESTIMATORS), 'scipy.stats' in sys.modules)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=repo, env=env, capture_output=True, text=True, check=False,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "11 False"
 
 
 def test_observation_validation():

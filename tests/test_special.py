@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ciindex import DomainError
+from ciindex import DomainError, special
 from ciindex.special import (
+    _binomial_pmf,
     beta_quantile,
     chi_square_quantile,
     normal_cdf,
@@ -174,3 +175,27 @@ def test_quantile_arrays_reject_invalid_entries(call):
 def test_domain_errors(call):
     with pytest.raises(DomainError):
         call()
+
+
+PMF_NS = (1, 2, 10, 1000, 10**4)
+PMF_PS = (1e-12, 0.02, 0.5, 0.98, 1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("n", PMF_NS)
+def test_binomial_pmf_is_scipy_stats_bit_for_bit(n):
+    # the kernel path must give exactly scipy.stats' bytes; a scipy whose
+    # kernel or clipping changes fails here instead of drifting
+    from scipy import stats
+
+    for p in PMF_PS:
+        want = stats.binom.pmf(np.arange(n + 1), n, p)
+        got = _binomial_pmf(n, p)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (n, p)
+
+
+def test_binomial_pmf_fallback_gives_the_same_bytes(monkeypatch):
+    kernel = {(n, p): _binomial_pmf(n, p).tobytes() for n in PMF_NS for p in PMF_PS}
+    monkeypatch.setattr(special, "_binom_pmf_kernel", None)
+    for (n, p), want in kernel.items():
+        assert _binomial_pmf(n, p).tobytes() == want, (n, p)
