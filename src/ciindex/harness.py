@@ -39,16 +39,13 @@ from .index import IndexConfig, IntervalPerformance, compute_index_array
 from .mean_intervals import (
     MEAN_ESTIMATORS,
     ConfidenceInterval,
+    _BlockStats,
     bca_from_boot_means,
     johnson_t_interval,
     normal_theory_interval,
     percentile_from_boot_means,
 )
-from .proportion_intervals import (  # noqa: F401 - proportion_interval stays importable here
-    PROPORTION_ESTIMATORS,
-    _weighted_outcomes,
-    proportion_interval,
-)
+from .proportion_intervals import PROPORTION_ESTIMATORS, _weighted_outcomes
 from .sampling import DataModel, SeedSpec, _draw, _resample, _stream_generators, true_parameter
 
 __all__ = [
@@ -213,14 +210,15 @@ def summarize_index(results: list[ReplicationResult]) -> IndexSummary:
     return IndexSummary(coverage, mean_length, mean, g1, g2, st_dev)
 
 
-def _issue_interval(kind: str, values: np.ndarray, alpha, boot_means):
-    if kind == "normal_theory":
-        return normal_theory_interval(values, alpha)
-    if kind == "johnson_t":
-        return johnson_t_interval(values, alpha)
-    if kind == "bootstrap_percentile":
-        return percentile_from_boot_means(boot_means, alpha)
-    return bca_from_boot_means(values, boot_means, alpha)
+# each estimator issued over one block's shared record through its public
+# name; the lambdas look the name up in this module at call time, so a
+# wrapper set on the module attribute sees every call
+_ISSUE = {
+    "normal_theory": lambda s, a: normal_theory_interval(s.values, a, _stats=s),
+    "johnson_t": lambda s, a: johnson_t_interval(s.values, a, _stats=s),
+    "bootstrap_percentile": lambda s, a: percentile_from_boot_means(s.boot_means, a, _stats=s),
+    "bca": lambda s, a: bca_from_boot_means(s.values, s.boot_means, a, _stats=s),
+}
 
 
 def calibrated_interval(
@@ -241,7 +239,7 @@ def calibrated_interval(
         raise DomainError(f"kind must be one of {MEAN_ESTIMATORS}, got {kind!r}")
     values, means, sds = _resample_stats(sample, alpha, B, seed)
     beta = _beta_from_lambdas(_lambdas(values, means, sds), alpha)
-    return _issue_interval(kind, values, beta, means)
+    return _ISSUE[kind](_BlockStats(values, means), beta)
 
 
 def _replication(
@@ -260,10 +258,11 @@ def _replication(
     its row of means (and of standard deviations when calibrating), each
     written into a preallocated block.  The levels, the intervals and the
     tallies run once per block of ``_BLOCK_ROWS`` samples, and each
-    estimator is issued once per block: at alpha alone, or at the
-    ``(2, m)`` stack of alpha and each sample's beta.  Lengths and levels
-    are summed in sample order (``cumsum``), as a running total would, so
-    every result is the same to the last bit whatever the block size.
+    estimator is issued once per block over the block's one record of
+    level-free statistics: at alpha alone, or at the ``(2, m)`` stack of
+    alpha and each sample's beta.  Lengths and levels are summed in sample
+    order (``cumsum``), as a running total would, so every result is the
+    same to the last bit whatever the block size.
     """
     seed = SeedSpec(plan.master_seed)
     matrix = _draw(plan.model, (plan.N, plan.n), seed.child(1, r))
@@ -295,8 +294,9 @@ def _replication(
             beta = _beta_from_lambdas(_lambdas(rows, means[:m], sds[:m]), plan.alpha)
             betas[start:start + m] = beta
             levels = np.stack([np.full(m, plan.alpha), beta])
+        stats = _BlockStats(rows, means[:m])
         for j, e in enumerate(plan.estimators):
-            ci = _issue_interval(e, rows, levels, means[:m])
+            ci = _ISSUE[e](stats, levels)
             covers[:, j] += np.count_nonzero(ci.contains(theta), axis=-1)
             lengths[:, j, start:start + m] = ci.length
 

@@ -13,10 +13,12 @@ shape ``(k, m)`` (``(k,)`` for one sample).  A block gives a
 :class:`ConfidenceInterval` with ``(m,)`` or ``(k, m)`` endpoint arrays
 whose entry for level j of row i equals, bit for bit, the interval of row
 i on its own at that level.  The level-free work (mean, sd, skewness, the
-sort of the resample means, BCa's bias correction and acceleration) runs
-once for all k levels, so the simulation harness issues each estimator
-once per block of samples, at alpha and the calibrated level together.
-One sample at one level gives float endpoints.
+sorted resample means, BCa's bias correction and acceleration) is one
+record, each field computed on its first read and so once for all k
+levels.  The simulation harness passes one record per block of samples
+to all four estimators through their private ``_stats`` keyword, so each
+statistic runs once per block.  One sample at one level gives float
+endpoints.
 
 The two bootstrap estimators accept precomputed resample means, shape
 ``(B,)`` or ``(m, B)``, through the ``*_from_boot_means`` variants so a
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -133,21 +136,63 @@ def _pow_1_5(x) -> np.ndarray:
     return np.array([v**1.5 for v in np.ravel(x).tolist()]).reshape(np.shape(x))
 
 
+class _BlockStats:
+    """Level-free statistics of validated samples and their resample means.
+
+    Each field is computed on its first read, with the numpy calls of the
+    one-sample formulas, and kept.  Either input may be None if unread.
+    """
+
+    def __init__(self, values: np.ndarray, boot_means: np.ndarray | None = None) -> None:
+        self.values, self.boot_means = values, boot_means
+
+    @cached_property
+    def mean(self):
+        return self.values.mean(axis=-1)
+
+    @cached_property
+    def sd(self):
+        return self.values.std(axis=-1, ddof=1)
+
+    @cached_property
+    def skew(self) -> np.ndarray:
+        centered = self.values - self.mean[..., None]
+        m2 = np.asarray(np.mean(centered**2, axis=-1))
+        m3 = np.mean(centered**3, axis=-1)
+        return np.divide(m3, _pow_1_5(m2), out=np.zeros(m2.shape), where=m2 != 0.0)
+
+    @cached_property
+    def sorted_means(self) -> np.ndarray:
+        # a sorted copy: the caller's resample means keep their order
+        return np.sort(self.boot_means, axis=-1)
+
+    @cached_property
+    def z0(self):
+        B = self.boot_means.shape[-1]
+        count = np.count_nonzero(self.boot_means < self.mean[..., None], axis=-1)
+        return normal_quantile(np.clip(count, 0.5, B - 0.5) / B)
+
+    @cached_property
+    def accel(self) -> np.ndarray:
+        # jackknife leave-one-out means via the identity (n*mean - x_i)/(n-1)
+        n = self.values.shape[-1]
+        loo = (n * self.mean[..., None] - self.values) / (n - 1.0)
+        dev = loo.mean(axis=-1, keepdims=True) - loo
+        denom = _pow_1_5(np.sum(dev**2, axis=-1))
+        return np.divide(np.sum(dev**3, axis=-1), 6.0 * denom, out=np.zeros(denom.shape), where=denom > 0.0)
+
+
 def sample_skewness(sample) -> float | np.ndarray:
     """Moment skewness m3 / m2^(3/2) with 1/n central moments.
 
     A block gives one value per row.  Zero-variance samples return 0 so
     downstream shifts vanish.
     """
-    values = _as_block(sample, 1)
-    centered = values - values.mean(axis=-1, keepdims=True)
-    m2 = np.asarray(np.mean(centered**2, axis=-1))
-    m3 = np.mean(centered**3, axis=-1)
-    skew = np.divide(m3, _pow_1_5(m2), out=np.zeros(m2.shape), where=m2 != 0.0)
+    skew = _BlockStats(_as_block(sample, 1)).skew
     return float(skew) if skew.ndim == 0 else skew
 
 
-def normal_theory_interval(sample, alpha: float | np.ndarray) -> ConfidenceInterval:
+def normal_theory_interval(sample, alpha: float | np.ndarray, *, _stats=None) -> ConfidenceInterval:
     """z interval: mean +/- z_{1-alpha/2} * s / sqrt(n), per sample and level.
 
     ``s`` is the unbiased (n-1 denominator) standard deviation.  A
@@ -155,13 +200,12 @@ def normal_theory_interval(sample, alpha: float | np.ndarray) -> ConfidenceInter
     """
     values = _as_block(sample, 2)
     _check_levels(alpha, values)
-    center = values.mean(axis=-1)
-    s = values.std(axis=-1, ddof=1)
-    half = normal_quantile(1.0 - alpha / 2.0) * s / math.sqrt(values.shape[-1])
-    return _interval(center - half, center + half)
+    s = _stats or _BlockStats(values)
+    half = normal_quantile(1.0 - alpha / 2.0) * s.sd / math.sqrt(values.shape[-1])
+    return _interval(s.mean - half, s.mean + half)
 
 
-def johnson_t_interval(sample, alpha: float | np.ndarray) -> ConfidenceInterval:
+def johnson_t_interval(sample, alpha: float | np.ndarray, *, _stats=None) -> ConfidenceInterval:
     """t interval with a skewness-dependent center shift, per sample.
 
     Center is ``mean + s * skew * (1 + 2 t^2) / (6 n)`` and half-width is
@@ -174,12 +218,14 @@ def johnson_t_interval(sample, alpha: float | np.ndarray) -> ConfidenceInterval:
     """
     values = _as_block(sample, 3)
     _check_levels(alpha, values)
+    s = _stats or _BlockStats(values)
     n = values.shape[-1]
-    mean = values.mean(axis=-1)
-    s = values.std(axis=-1, ddof=1)
-    t = student_t_quantile(1.0 - alpha / 2.0, n - 1)
-    center = mean + s * sample_skewness(values) * (1.0 + 2.0 * t * t) / (6.0 * n)
-    half = t * s / math.sqrt(n)
+    # stdtrit is elementwise, so one evaluation per distinct level gives
+    # the bits of one per entry: a (2, m) stack costs m + 1, not 2m
+    levels, at = np.unique(np.ravel(1.0 - alpha / 2.0), return_inverse=True)
+    t = student_t_quantile(levels, n - 1)[at].reshape(np.shape(alpha))
+    center = s.mean + s.sd * s.skew * (1.0 + 2.0 * t * t) / (6.0 * n)
+    half = t * s.sd / math.sqrt(n)
     return _interval(center - half, center + half)
 
 
@@ -204,13 +250,14 @@ def _order_statistic(sorted_values: np.ndarray, p) -> np.ndarray:
     return np.take_along_axis(rows, np.broadcast_to(k, shape)[..., None] - 1, axis=-1)[..., 0]
 
 
-def percentile_from_boot_means(boot_means, alpha: float | np.ndarray) -> ConfidenceInterval:
+def percentile_from_boot_means(boot_means, alpha: float | np.ndarray, *, _stats=None) -> ConfidenceInterval:
     """Percentile interval from precomputed bootstrap means, per row."""
-    means = np.sort(_as_means(boot_means), axis=-1)
+    means = _as_means(boot_means)
     _check_levels(alpha, means)
+    ordered = (_stats or _BlockStats(None, means)).sorted_means
     return _interval(
-        _order_statistic(means, alpha / 2.0),
-        _order_statistic(means, 1.0 - alpha / 2.0),
+        _order_statistic(ordered, alpha / 2.0),
+        _order_statistic(ordered, 1.0 - alpha / 2.0),
     )
 
 
@@ -220,7 +267,7 @@ def bootstrap_percentile_interval(sample, alpha: float, B: int, seed: SeedSpec) 
     return percentile_from_boot_means(bootstrap_mean_draws(values, B, seed), alpha)
 
 
-def bca_from_boot_means(sample, boot_means, alpha: float | np.ndarray) -> ConfidenceInterval:
+def bca_from_boot_means(sample, boot_means, alpha: float | np.ndarray, *, _stats=None) -> ConfidenceInterval:
     """BCa interval from precomputed bootstrap means of ``sample``.
 
     For a block, row i of ``boot_means`` holds the resample means of row
@@ -230,29 +277,18 @@ def bca_from_boot_means(sample, boot_means, alpha: float | np.ndarray) -> Confid
     formula; a zero denominator falls back to a = 0, making the interval
     coincide with the percentile interval when additionally z0 = 0.
     """
-    values = _as_block(sample, 3)
-    means = np.sort(_as_means(boot_means), axis=-1)
+    values, means = _as_block(sample, 3), _as_means(boot_means)
     if means.shape[:-1] != values.shape[:-1]:
         raise DomainError("need one row of bootstrap means per sample")
     _check_levels(alpha, values)
-    n, B = values.shape[-1], means.shape[-1]
-    theta = values.mean(axis=-1, keepdims=True)
-
-    count = np.count_nonzero(means < theta, axis=-1)
-    z0 = normal_quantile(np.clip(count, 0.5, B - 0.5) / B)
-
-    # jackknife leave-one-out means via the identity (n*mean - x_i)/(n-1)
-    loo = (n * theta - values) / (n - 1.0)
-    dev = loo.mean(axis=-1, keepdims=True) - loo
-    denom = _pow_1_5(np.sum(dev**2, axis=-1))
-    a = np.divide(np.sum(dev**3, axis=-1), 6.0 * denom, out=np.zeros(denom.shape), where=denom > 0.0)
-
+    s = _stats or _BlockStats(values, means)
+    z0, a = s.z0, s.accel
     z_lo = normal_quantile(alpha / 2.0)
     z_hi = normal_quantile(1.0 - alpha / 2.0)
     a1 = normal_cdf(z0 + (z0 + z_lo) / (1.0 - a * (z0 + z_lo)))
     a2 = normal_cdf(z0 + (z0 + z_hi) / (1.0 - a * (z0 + z_hi)))
-    lo = _order_statistic(means, a1)
-    hi = _order_statistic(means, a2)
+    lo = _order_statistic(s.sorted_means, a1)
+    hi = _order_statistic(s.sorted_means, a2)
     return _interval(np.minimum(lo, hi), np.maximum(lo, hi))
 
 

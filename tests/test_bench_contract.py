@@ -57,18 +57,21 @@ MEAN_SPANS = (
 
 def test_studies_call_the_traced_names():
     # perfbench reads these counts; a study that reaches a kernel under
-    # another name reports them as 0 and drops the per-estimator timings
+    # another name reports them as 0 and drops the per-estimator timings.
+    # Each estimator is issued once per block of samples, at every level.
     tracer = _load("tracer")
     plan = ciindex.SimulationPlan(
         model=ciindex.normal_model(2.0, 1.0), n=10, N=20, B=20, R=2, alpha=ALPHA,
         estimators=ciindex.MEAN_ESTIMATORS, master_seed=20260815,
     )
+    blocks = plan.R * math.ceil(plan.N / ciindex.harness._BLOCK_ROWS)
     for run, calibrate in ((ciindex.run_mean_study, False), (ciindex.run_calibration_study, True)):
         traced = tracer.Tracer(tracer.targets(ciindex))
         with traced.installed():
             run(plan)
-        for span in MEAN_SPANS + ("special.normal_quantile",):
-            assert traced.calls[span] > 0, (run.__name__, span)
+        for span in MEAN_SPANS:
+            assert traced.calls[span] == blocks, (run.__name__, span)
+        assert traced.calls["special.normal_quantile"] > 0, run.__name__
         if calibrate:
             assert traced.calls["calibration.lambdas"] > 0 and traced.calls["calibration.beta"] > 0
         # the traced name opens the (1, r) data streams; a replication's

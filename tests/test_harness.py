@@ -35,7 +35,7 @@ from ciindex import (
     summarize_index,
     true_parameter,
 )
-from ciindex import harness
+from ciindex import harness, mean_intervals
 from ciindex.harness import DEFAULT_SKIP_DELTA
 from ciindex.mean_intervals import (
     bca_from_boot_means,
@@ -307,6 +307,62 @@ def test_calibration_study_needs_resamples_and_three_observations(monkeypatch):
         )
         with pytest.raises(ConfigError):
             run_calibration_study(plan)
+
+
+# N = 300 is three blocks of samples: 128, 128 and 44 rows
+BLOCK_PLAN = SimulationPlan(
+    model=lognormal_model(0.0, 1.0), n=8, N=300, B=20, R=2, alpha=0.05,
+    estimators=MEAN_ESTIMATORS, master_seed=11, skip_delta=0.0,
+)
+BLOCK_ROWS = [128, 128, 44] * BLOCK_PLAN.R
+
+
+def test_block_statistics_are_computed_once_per_block(monkeypatch):
+    # percentile and BCa share one sort of a block's resample means, and
+    # a plan without johnson_t never computes the skewness
+    sorts, skews = [], []
+    sort = np.sort
+
+    def counting_sort(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            sorts.append(np.shape(a)[0])
+        return sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", counting_sort)
+    for run in (run_mean_study, run_calibration_study):
+        sorts.clear()
+        run(BLOCK_PLAN)
+        assert sorts == BLOCK_ROWS, run.__name__
+
+    skew = mean_intervals._BlockStats.skew.func
+
+    def counting_skew(stats):
+        skews.append(stats.values.shape[0])
+        return skew(stats)
+
+    monkeypatch.setattr(mean_intervals._BlockStats, "skew", property(counting_skew))
+    percentile_only = dataclasses.replace(BLOCK_PLAN, estimators=("bootstrap_percentile",))
+    for plan, skewed in ((BLOCK_PLAN, BLOCK_ROWS), (percentile_only, [])):
+        skews.clear()
+        run_mean_study(plan)
+        assert skews == skewed, plan.estimators
+
+
+def test_johnson_t_quantile_once_per_distinct_level(monkeypatch):
+    # a calibration block issues johnson_t at the (2, m) stack of alpha and
+    # each sample's beta: alpha's row is one level, so at most m + 1
+    levels = []
+    quantile = mean_intervals.student_t_quantile
+
+    def recording(p, df):
+        levels.append(np.size(p))
+        return quantile(p, df)
+
+    monkeypatch.setattr(mean_intervals, "student_t_quantile", recording)
+    run_calibration_study(BLOCK_PLAN)
+    assert len(levels) == len(BLOCK_ROWS)
+    for size, m in zip(levels, BLOCK_ROWS):
+        assert size <= m + 1
 
 
 def test_plan_validation():
