@@ -386,18 +386,18 @@ def run_proportion_study(plan: SimulationPlan) -> dict[str, ReplicationResult]:
     """One coverage/length/index triple per proportion estimator.
 
     Draws R counts from the binomial model (stream (3,)), then evaluates
-    each estimator once per distinct count and weights by the count
-    frequencies, so coverage is a multiple of 1/R and the whole study
-    costs n + 1 interval evaluations per estimator.
+    each estimator once per distinct count drawn and weights by the count
+    frequencies, so coverage is a multiple of 1/R and the study costs at
+    most min(R, n + 1) interval evaluations per estimator, in O(R) memory.
     """
     if plan.model.kind != "binomial":
         raise ConfigError("run_proportion_study requires a binomial model")
     counts = _draw(plan.model, plan.R, SeedSpec(plan.master_seed).child(3))
-    weights = np.bincount(counts, minlength=plan.model.n_trials + 1)
+    x, weights = np.unique(counts, return_counts=True)
 
     p = true_parameter(plan.model)
     sums = [
-        _weighted_outcomes(e, plan.model.n_trials, p, plan.alpha, weights)
+        _weighted_outcomes(e, plan.model.n_trials, p, plan.alpha, x, weights)
         for e in plan.estimators
     ]
     coverage, length = (np.array(sums) / plan.R).T.tolist()

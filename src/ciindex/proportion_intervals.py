@@ -13,10 +13,11 @@ which makes it the reference any simulated run can be checked against.
 The pmf comes from :mod:`ciindex.special`, through the kernel that
 ``scipy.stats.binom.pmf`` calls, so the oracle gives the same bytes as
 ``scipy.stats`` without importing it.
-Such a sweep (and a proportion study's) evaluates each formula once, over
-the array of outcomes it scores; the Beta and chi-square quantiles take
-arrays of shapes and degrees of freedom for it.  The arcsine formulas
-alone go one outcome at a time, through :mod:`math`.
+The oracle's n + 1 intervals depend on (kind, n, alpha) alone: the first
+call at a key keeps them as a read-only table (the last 128 keys, at most
+about 20 MB); a proportion study scores only its drawn counts, in O(R)
+memory.  Both evaluate each formula once over an array of outcomes; the
+arcsine formulas alone go one outcome at a time, through :mod:`math`.
 
 Boundary conventions keep every estimator total: a Beta quantile with a
 zero shape parameter is the corresponding endpoint (0 or 1), a chi-square
@@ -30,6 +31,7 @@ property of those estimators, not an error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -182,33 +184,51 @@ def proportion_interval(kind: str, obs: BinomialObservation, alpha: float) -> Co
     return _interval(*_clipped(kind, obs.n, obs.x, alpha, _z(kind, alpha)))
 
 
-def _weighted_outcomes(kind: str, n: int, p: float, alpha: float, weights) -> tuple[float, float]:
-    """Sums of ``w * [interval covers p]`` and ``w * length`` over x = 0..n.
+def _tally(ci: ConfidenceInterval, p: float, weights) -> tuple[float, float]:
+    # running totals (cumsum) of w * [interval covers p] and w * length
+    return np.cumsum(np.where(ci.contains(p), weights, 0.0))[-1], np.cumsum(weights * ci.length)[-1]
 
-    ``weights[x]`` weighs the outcome of x successes; outcomes of weight
-    zero are skipped without issuing their interval.  The kind and alpha
-    are checked once, and the formula is evaluated once over every
-    remaining outcome.  Both sums run in outcome order (``cumsum``), as a
-    running total would.
+
+def _weighted_outcomes(kind: str, n: int, p: float, alpha: float, x, weights) -> tuple[float, float]:
+    """Sums of ``w * [interval covers p]`` and ``w * length`` over outcomes ``x``.
+
+    ``x`` holds distinct counts in ascending order and ``weights`` their
+    weights; the formula is evaluated once over ``x``; an empty ``x`` gives (0, 0).
     """
-    z = _z(kind, alpha)
-    w = np.asarray(weights, dtype=float)
-    x = np.flatnonzero(w)
-    if x.size == 0:
-        return 0.0, 0.0
-    ci = ConfidenceInterval(*_clipped(kind, n, x, alpha, z))
-    w = w[x]
-    return np.cumsum(np.where(ci.contains(p), w, 0.0))[-1], np.cumsum(w * ci.length)[-1]
+    ci = ConfidenceInterval(*_clipped(kind, n, x, alpha, _z(kind, alpha)))
+    return _tally(ci, p, weights) if len(x) else (0.0, 0.0)
+
+
+# about 11 estimators x 11 sample sizes; at most 128 x 2 x 10^4 floats, 20 MB
+_TABLES = 128
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _outcome_table(kind: str, n: int, alpha: float) -> ConfidenceInterval:
+    # the intervals of every outcome x = 0..n, validated once, read-only
+    table = ConfidenceInterval(*_clipped(kind, n, np.arange(n + 1), alpha, _z(kind, alpha)))
+    table.lower.setflags(write=False)
+    table.upper.setflags(write=False)
+    return table
 
 
 def exact_performance(kind: str, n: int, p: float, alpha: float) -> IntervalPerformance:
     """Exact coverage and expected length under a Binomial(n, p) draw.
 
     Sums the binomial pmf over all outcomes x = 0..n, so the result is
-    deterministic; intended as the reference for Monte Carlo runs.
+    deterministic; intended as the reference for Monte Carlo runs.  The
+    first call at a (kind, n, alpha) evaluates all n + 1 intervals, those
+    of zero pmf included, into a read-only table that later p reuse.
     """
     if not (isinstance(n, int) and 1 <= n <= 10**4):
         raise DomainError(f"n must be an integer in [1, 10^4], got {n!r}")
     _check_prob_open(p)
-    coverage, length = _weighted_outcomes(kind, n, p, alpha, _binomial_pmf(n, p))
+    pmf = _binomial_pmf(n, p)
+    try:
+        # outcomes of zero pmf add +0.0 to the running totals: no bit moves
+        coverage, length = _tally(_outcome_table(kind, n, alpha), p, pmf)
+    except (DomainError, TypeError):
+        # no table (bad or unhashable key, inverted arcsine): nonzero pmf only
+        x = np.flatnonzero(pmf)
+        coverage, length = _weighted_outcomes(kind, n, p, alpha, x, pmf[x])
     return IntervalPerformance(min(coverage, 1.0), length)

@@ -82,22 +82,36 @@ def test_studies_call_the_traced_names():
 PROPORTION_QUANTILES = ("special.beta_quantile", "special.chi_square_quantile", "special.normal_quantile")
 
 
+def _traced_calls(tracer, run):
+    traced = tracer.Tracer(tracer.targets(ciindex))
+    with traced.installed():
+        run()
+    return traced.calls
+
+
+def _exact_sweep(p: float):
+    return lambda: [ciindex.exact_performance(e, 40, p, ALPHA) for e in ciindex.PROPORTION_ESTIMATORS]
+
+
 def test_proportion_sweeps_call_the_traced_quantiles():
     # the sweeps must reach the quantiles through the proportion_intervals
     # names the tracer wraps; a formula calling scipy.special directly
-    # would report those per-layer metrics as 0
+    # would report those per-layer metrics as 0.  exact_performance keeps
+    # one table of intervals per (kind, n, alpha), so its cold call starts
+    # from an empty cache and a second p at the same n evaluates no formula
     tracer = _load("tracer")
     plan = ciindex.SimulationPlan(
         model=ciindex.binomial_model(40, 0.3), n=40, N=1, B=1, R=200, alpha=ALPHA,
         estimators=ciindex.PROPORTION_ESTIMATORS, master_seed=20260815,
     )
-    for run in (lambda: ciindex.run_proportion_study(plan),
-                lambda: [ciindex.exact_performance(e, 40, 0.3, ALPHA) for e in ciindex.PROPORTION_ESTIMATORS]):
-        traced = tracer.Tracer(tracer.targets(ciindex))
-        with traced.installed():
-            run()
+    ciindex.proportion_intervals._outcome_table.cache_clear()
+    for run in (lambda: ciindex.run_proportion_study(plan), _exact_sweep(0.3)):
+        calls = _traced_calls(tracer, run)
         for span in PROPORTION_QUANTILES:
-            assert traced.calls[span] > 0, span
+            assert calls[span] > 0, span
+    warm = _traced_calls(tracer, _exact_sweep(0.7))
+    for span in ("special.beta_quantile", "special.chi_square_quantile"):
+        assert warm[span] == 0, span
 
 
 def test_setup_probe_names_exist_in_cli():

@@ -4,6 +4,7 @@ reference loop that the engine must equal bit for bit."""
 
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from ciindex import (
     MEAN_ESTIMATORS,
+    PROPORTION_ESTIMATORS,
     ConfigError,
     DomainError,
     IndexConfig,
@@ -183,6 +185,28 @@ def test_proportion_study_matches_exact_performance():
         assert rep.mean_length == pytest.approx(truth.mean_length, abs=0.02)
         want = compute_index(IntervalPerformance(rep.coverage, rep.mean_length), plan.index_config)
         assert rep.index == pytest.approx(want, abs=1e-12)
+
+
+def test_proportion_study_memory_follows_R_not_n_trials():
+    # one weight per distinct count drawn; a per-outcome array over
+    # x = 0..10^6 would take 8 MB
+    plan = SimulationPlan(
+        model=binomial_model(10**6, 0.3),
+        n=10**6,
+        N=1,
+        B=1,
+        R=200,
+        alpha=0.05,
+        estimators=PROPORTION_ESTIMATORS,
+        master_seed=77,
+    )
+    tracemalloc.start()
+    try:
+        run_proportion_study(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_calibration_study_skip_all_identity():

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -18,6 +18,7 @@ from ciindex import (
     ConfidenceInterval,
     DomainError,
     SeedSpec,
+    exact_performance,
     johnson_t_interval,
     normal_theory_interval,
     proportion_interval,
@@ -28,8 +29,8 @@ from ciindex.mean_intervals import (
     bootstrap_mean_draws,
     percentile_from_boot_means,
 )
-from ciindex.proportion_intervals import _weighted_outcomes
-from ciindex.special import normal_cdf
+from ciindex.proportion_intervals import _TABLES, _outcome_table, _weighted_outcomes
+from ciindex.special import _binomial_pmf, normal_cdf
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 SEED = SeedSpec(20260815, (2, 0, 0))
@@ -153,30 +154,86 @@ def _sweep_cases(draw):
     return n, p, alpha, draw(st.lists(weight, min_size=n + 1, max_size=n + 1))
 
 
-# a sweep checks its kind and alpha once and scores every outcome with one
-# formula call; its sums must be the running totals of the scalar formulas
+def _scalar_tally(kind: str, n: int, p: float, alpha: float, weights) -> tuple[float, float]:
+    # running totals of w * [covers p] and w * length over the outcomes of
+    # nonzero weight, one scalar interval at a time
+    cover = 0.0
+    length = 0.0
+    for x, w in enumerate(weights):
+        if w == 0:
+            continue
+        ci = ConfidenceInterval(*_scalar_interval(kind, n, x, alpha))
+        if ci.contains(p):
+            cover += w
+        length += w * ci.length
+    return cover, length
+
+
+# a sweep checks its kind and alpha once and scores the outcomes of nonzero
+# weight with one formula call; its sums must be the running totals of the
+# scalar formulas
 @PROPERTY
 @given(_sweep_cases())
 def test_sweep_equals_the_tally_of_scalar_formulas(case):
     n, p, alpha, weights = case
+    w = np.asarray(weights, dtype=float)
+    x = np.flatnonzero(w)
     for kind in PROPORTION_ESTIMATORS:
-        cover = 0.0
-        length = 0.0
         try:
-            for x, w in enumerate(weights):
-                if w == 0:
-                    continue
-                ci = ConfidenceInterval(*_scalar_interval(kind, n, x, alpha))
-                if ci.contains(p):
-                    cover += w
-                length += w * ci.length
+            want = _scalar_tally(kind, n, p, alpha, weights)
         except DomainError:
             # an arcsine interval wraps past pi / 2 and inverts (lower >
             # upper) at n = 1 and alpha below about 0.002; both must raise
             with pytest.raises(DomainError):
-                _weighted_outcomes(kind, n, p, alpha, weights)
+                _weighted_outcomes(kind, n, p, alpha, x, w[x])
             continue
-        assert _bits(_weighted_outcomes(kind, n, p, alpha, weights)) == _bits([cover, length]), kind
+        assert _bits(_weighted_outcomes(kind, n, p, alpha, x, w[x])) == _bits(want), kind
+
+
+@st.composite
+def _exact_sweeps(draw):
+    # exact_performance calls that share (kind, n, alpha) at several p, in
+    # drawn order; p reaches subnormal values, where the pmf of every
+    # x >= 1 underflows to zero
+    n = draw(st.integers(1, 200))
+    alpha = draw(st.floats(1e-7, 0.999))
+    kinds = draw(st.lists(st.sampled_from(PROPORTION_ESTIMATORS), min_size=1, max_size=2, unique=True))
+    ps = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=2, max_size=3))
+    return n, alpha, draw(st.permutations([(kind, p) for kind in kinds for p in ps]))
+
+
+# the first call at a (kind, n, alpha) builds its table of intervals and
+# every later p reuses it; cold or warm, each result must be the running
+# totals of the scalar formulas over that p's pmf.  At n = 2 and alpha =
+# 1e-6 the arcsine table inverts at x = 1 and 2, so p = 0.3 raises while
+# p = 1e-310, whose pmf is zero there, does not
+@PROPERTY
+@given(_exact_sweeps())
+@example((2, 1e-6, [("arcsin", 1e-310), ("arcsin", 0.3), ("arcsin", 1e-310)]))
+def test_exact_performance_equals_the_tally_of_scalar_formulas(case):
+    n, alpha, calls = case
+    _outcome_table.cache_clear()
+    for kind, p in calls:
+        try:
+            cover, length = _scalar_tally(kind, n, p, alpha, _binomial_pmf(n, p))
+        except DomainError:
+            with pytest.raises(DomainError):
+                exact_performance(kind, n, p, alpha)
+            continue
+        perf = exact_performance(kind, n, p, alpha)
+        assert _bits([perf.coverage, perf.mean_length]) == _bits([min(cover, 1.0), length]), (kind, p)
+
+
+def test_outcome_tables_are_read_only_and_bounded():
+    table = _outcome_table("wilson", 10, 0.05)
+    for end in (table.lower, table.upper):
+        with pytest.raises(ValueError):
+            end[0] = 0.5
+    for n in range(1, _TABLES + 10):
+        _outcome_table("wald", n, 0.05)
+    info = _outcome_table.cache_info()
+    assert info.maxsize == _TABLES
+    assert info.currsize <= info.maxsize
 
 
 @st.composite

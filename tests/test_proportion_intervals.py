@@ -141,12 +141,19 @@ def test_exact_performance_exact_estimator_conservative():
         assert perf.coverage <= 1.0
 
 
-def test_exact_performance_leaves_scipy_stats_unloaded():
-    # the oracle's pmf comes from the scipy.special kernel; a fresh process
-    # is needed because this suite itself loads scipy.stats
+def _child(*args: str) -> subprocess.CompletedProcess:
+    # a fresh interpreter on this checkout's sources
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=repo, env=env, capture_output=True, text=True, check=False,
+    )
+
+
+def test_exact_performance_leaves_scipy_stats_unloaded():
+    # the oracle's pmf comes from the scipy.special kernel; a fresh process
+    # is needed because this suite itself loads scipy.stats
     script = (
         "import sys\n"
         "from ciindex import PROPORTION_ESTIMATORS, exact_performance\n"
@@ -154,12 +161,20 @@ def test_exact_performance_leaves_scipy_stats_unloaded():
         "    exact_performance(kind, 40, 0.3, 0.05)\n"
         "print(len(PROPORTION_ESTIMATORS), 'scipy.stats' in sys.modules)\n"
     )
-    child = subprocess.run(
-        [sys.executable, "-c", script],
-        cwd=repo, env=env, capture_output=True, text=True, check=False,
-    )
+    child = _child("-c", script)
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "11 False"
+
+
+def test_compare_demo_prints_every_estimator_at_every_p():
+    # the demo is an exact_performance sweep over p at one n
+    child = _child("demos/compare_proportion_intervals.py")
+    assert child.returncode == 0, child.stderr
+    blocks = child.stdout.split("\np = ")[1:]
+    assert [block.split("\n", 1)[0] for block in blocks] == ["0.1", "0.3", "0.5"]
+    for block in blocks:
+        rows = block.split("\n\n", 1)[0].splitlines()[2:]
+        assert sorted(row.split()[0] for row in rows) == sorted(PROPORTION_ESTIMATORS)
 
 
 def test_observation_validation():
