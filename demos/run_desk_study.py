@@ -6,7 +6,7 @@ and reports each estimator's coverage, mean length, and index summary.
 The master seed fixes every draw, so rerunning this script reproduces
 the table bit for bit.
 
-Run from the repository root (about half a minute on one core):
+Run from the repository root (about a second on one core):
 
     python3 demos/run_desk_study.py
 """
@@ -39,15 +39,14 @@ def main():
     results = run_mean_study(PLAN)
     print(f"{'estimator':<22} {'coverage':>8} {'length':>8} "
           f"{'index':>8} {'sd':>8} {'skew':>8}")
-    for est in PLAN.estimators:
-        summary = results[est][1]
+    for est, summary in zip(results.estimators, results.summaries):
         print(f"{est:<22} {summary.coverage:>8.4f} {summary.mean_length:>8.4f} "
               f"{summary.mean:>8.4f} {summary.st_dev:>8.4f} {summary.skewness:>8.3f}")
 
     # undercoverage on skewed data at small n is the expected picture;
     # the index orders estimators by how little they sacrifice
-    print("\nhighest index:",
-          max(PLAN.estimators, key=lambda e: results[e][1].mean))
+    means = [summary.mean for summary in results.summaries]
+    print("\nhighest index:", results.estimators[means.index(max(means))])
 
 
 if __name__ == "__main__":

@@ -13,10 +13,10 @@ from .errors import CiindexError, ConfigError, DomainError, InsufficientDataErro
 from .harness import (
     DESK_SCALE,
     PAPER_SCALE,
-    CalibrationComparison,
+    CalibrationStudy,
     IndexSummary,
-    ReplicationResult,
     SimulationPlan,
+    StudyResults,
     calibrated_interval,
     run_calibration_study,
     run_mean_study,
@@ -62,7 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinomialObservation",
-    "CalibrationComparison",
+    "CalibrationStudy",
     "CalibrationResult",
     "CiindexError",
     "ConfidenceInterval",
@@ -77,9 +77,9 @@ __all__ = [
     "MEAN_ESTIMATORS",
     "PAPER_SCALE",
     "PROPORTION_ESTIMATORS",
-    "ReplicationResult",
     "SeedSpec",
     "SimulationPlan",
+    "StudyResults",
     "__version__",
     "bca_interval",
     "binomial_model",

@@ -350,11 +350,11 @@ def _write_metadata(out_dir: Path, echo: dict, extra: dict | None = None) -> lis
 # ---------------------------------------------------------------- modes
 
 
-def _study(eff: _Effective, run, extra: dict | None = None) -> tuple[dict, list[str]]:
+def _study(eff: _Effective, run, extra: dict | None = None) -> tuple[object, list[str]]:
     """Plan, run, echo and write the metadata of one study.
 
-    ``run`` takes the plan and returns the study's results, keyed by
-    estimator in plan order.  Returns them with the CSV comment lines.
+    ``run`` takes the plan and returns the study's results.  Returns them
+    with the CSV comment lines.
     """
     plan = _build_plan(eff, _build_model(eff.parser))
     results = run(plan)
@@ -370,21 +370,14 @@ def _run_simulate_mean(eff: _Effective) -> None:
     results, comments = _study(eff, lambda plan: run_mean_study(plan, n_workers=_workers(eff)))
     rep_rows = []
     sum_rows = []
-    for e, (reps, summary) in results.items():
-        for r, rep in enumerate(reps):
-            cov, length, idx = _quantized_triple(rep.coverage, rep.mean_length, eff.index)
-            rep_rows.append([e, str(r), cov, length, idx])
-        sum_rows.append(
-            [
-                e,
-                _fmt(summary.coverage),
-                _fmt(summary.mean_length),
-                _fmt(summary.mean),
-                _fmt(summary.skewness),
-                _fmt(summary.kurtosis),
-                _fmt(summary.st_dev),
-            ]
-        )
+    for e, coverage, length, summary in zip(
+        results.estimators, results.coverage.T.tolist(), results.mean_length.T.tolist(),
+        results.summaries,
+    ):
+        for r, (c, ell) in enumerate(zip(coverage, length)):
+            rep_rows.append([e, str(r), *_quantized_triple(c, ell, eff.index)])
+        # IndexSummary's fields are in summary.csv column order
+        sum_rows.append([e, *map(_fmt, dataclasses.astuple(summary))])
     _write_csv(
         eff.out_dir / "replications.csv",
         comments,
@@ -409,9 +402,12 @@ def _run_simulate_mean(eff: _Effective) -> None:
 
 def _run_simulate_proportion(eff: _Effective) -> None:
     results, comments = _study(eff, run_proportion_study)
+    # the study's single row: one triple per estimator
     rows = [
-        [e, *_quantized_triple(res.coverage, res.mean_length, eff.index)]
-        for e, res in results.items()
+        [e, *_quantized_triple(c, ell, eff.index)]
+        for e, c, ell in zip(
+            results.estimators, results.coverage[0].tolist(), results.mean_length[0].tolist()
+        )
     ]
     _write_csv(
         eff.out_dir / "results.csv", comments, ["estimator", "coverage", "length", "index"], rows
@@ -419,24 +415,24 @@ def _run_simulate_proportion(eff: _Effective) -> None:
 
 
 def _run_calibrate(eff: _Effective) -> None:
-    comparison, comments = _study(
+    study, comments = _study(
         eff,
         lambda plan: run_calibration_study(plan, n_workers=_workers(eff)),
         {"calibration_resamples": "reused"},
     )
     rows = []
-    for e, comp in comparison.items():
-        for variant, (_reps, summary) in (
-            ("uncalibrated", comp.uncalibrated),
-            ("calibrated", comp.calibrated),
-        ):
+    for e, skipped, mean_beta, *summaries in zip(
+        study.uncalibrated.estimators, study.skipped.tolist(), study.mean_beta.tolist(),
+        study.uncalibrated.summaries, study.calibrated.summaries,
+    ):
+        for variant, summary in zip(("uncalibrated", "calibrated"), summaries):
             rows.append(
                 [
                     e,
                     variant,
                     *_quantized_triple(summary.coverage, summary.mean_length, eff.index),
-                    "true" if comp.skipped else "false",
-                    _fmt(comp.mean_beta),
+                    "true" if skipped else "false",
+                    _fmt(mean_beta),
                 ]
             )
     _write_csv(

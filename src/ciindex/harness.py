@@ -15,6 +15,11 @@ Two study shapes:
   estimator per distinct count, and report a single coverage/length/index
   triple per estimator, exactly comparable to the pmf-weighted oracle.
 
+Every study returns :class:`StudyResults`: ``(R, E)`` coverage, mean
+length and index arrays, one column per estimator in plan order (a single
+row for a proportion study), and one :class:`IndexSummary` per column.  A
+calibration study returns a :class:`CalibrationStudy` of two of them.
+
 Randomness is organized as one stream per task: stream (1, r) generates
 replication r's data block, stream (2, r, i) the resamples for sample i
 of replication r, and stream (3,) the proportion draws.  Because streams
@@ -35,7 +40,7 @@ import numpy as np
 
 from .calibration import _beta_from_lambdas, _lambdas, _resample_stats, _row_sds
 from .errors import ConfigError, DomainError, InsufficientDataError
-from .index import IndexConfig, IntervalPerformance, compute_index_array
+from .index import IndexConfig, compute_index_array
 from .mean_intervals import (
     MEAN_ESTIMATORS,
     ConfidenceInterval,
@@ -51,10 +56,10 @@ from .sampling import DataModel, SeedSpec, _draw, _resample, _stream_generators,
 __all__ = [
     "DESK_SCALE",
     "PAPER_SCALE",
-    "CalibrationComparison",
+    "CalibrationStudy",
     "IndexSummary",
-    "ReplicationResult",
     "SimulationPlan",
+    "StudyResults",
     "calibrated_interval",
     "run_calibration_study",
     "run_mean_study",
@@ -129,21 +134,6 @@ class SimulationPlan:
 
 
 @dataclass(frozen=True)
-class ReplicationResult:
-    """One replication's (or one proportion run's) scored performance."""
-
-    estimator: str
-    coverage: float
-    mean_length: float
-    index: float
-
-    def __post_init__(self) -> None:
-        IntervalPerformance(self.coverage, self.mean_length)
-        if not math.isfinite(self.index):
-            raise DomainError(f"index must be finite, got {self.index!r}")
-
-
-@dataclass(frozen=True)
 class IndexSummary:
     """One estimator's study summary, in ``summary.csv`` column order.
 
@@ -165,28 +155,44 @@ class IndexSummary:
             raise DomainError(f"st_dev must be >= 0, got {self.st_dev!r}")
 
 
-@dataclass(frozen=True)
-class CalibrationComparison:
-    """Uncalibrated and calibrated study results for one estimator.
+@dataclass(frozen=True, eq=False)
+class StudyResults:
+    """Every estimator's results in one study, one column per estimator.
 
-    ``skipped`` records whether the study-level skip rule fired (the
-    estimator's empirical coverage was already within ``skip_delta`` of
-    nominal), in which case the calibrated results are the uncalibrated
-    ones unchanged and ``mean_beta`` is NaN.  Both sides come from one
-    pass: each sample's single resample set feeds the bootstrap
+    ``coverage``, ``mean_length`` and ``index`` are ``(R, E)`` float64
+    arrays: row r is replication r, column j is ``estimators[j]``, in plan
+    order.  ``summaries[j]`` is column j's :class:`IndexSummary`.  A
+    proportion study has a single row.
+    """
+
+    estimators: tuple[str, ...]
+    coverage: np.ndarray
+    mean_length: np.ndarray
+    index: np.ndarray
+    summaries: tuple[IndexSummary, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class CalibrationStudy:
+    """Uncalibrated and calibrated results of one calibration study.
+
+    ``skipped`` and ``mean_beta`` are ``(E,)`` arrays in plan order.
+    ``skipped[j]`` records whether the study-level skip rule fired for
+    estimator j (its uncalibrated coverage was already within
+    ``skip_delta`` of nominal); its calibrated column is then its
+    uncalibrated one and its ``mean_beta`` is NaN.  Both sides come from
+    one pass: each sample's single resample set feeds the bootstrap
     estimators at alpha and at the sample's beta, and the beta itself.
     """
 
-    estimator: str
-    uncalibrated: tuple[list[ReplicationResult], IndexSummary]
-    calibrated: tuple[list[ReplicationResult], IndexSummary]
-    skipped: bool
-    empirical_coverage: float
-    mean_beta: float
+    uncalibrated: StudyResults
+    calibrated: StudyResults
+    skipped: np.ndarray
+    mean_beta: np.ndarray
 
 
-def summarize_index(results: list[ReplicationResult]) -> IndexSummary:
-    """Summary of one estimator's replication results.
+def summarize_index(coverage, mean_length, index) -> IndexSummary:
+    """Summary of one estimator's R results, given as three ``(R,)`` columns.
 
     The mean coverage and mean length, then the index values' mean,
     sample st.dev, moment skewness and excess kurtosis.  Central moments
@@ -194,11 +200,11 @@ def summarize_index(results: list[ReplicationResult]) -> IndexSummary:
     denominator.  Fewer than 3 results, or zero index variance, give NaN
     shape statistics; a single result also gives a NaN standard deviation.
     """
-    if not results:
+    data = np.asarray(index, dtype=float)
+    if not data.size:
         raise InsufficientDataError("need at least one result to summarize")
-    coverage = float(np.mean([r.coverage for r in results]))
-    mean_length = float(np.mean([r.mean_length for r in results]))
-    data = np.array([r.index for r in results])
+    coverage = float(np.mean(coverage))
+    mean_length = float(np.mean(mean_length))
     mean = float(data.mean())
     st_dev = float(data.std(ddof=1)) if data.size > 1 else math.nan
     centered = data - mean
@@ -314,81 +320,66 @@ def _map_replications(fn, R: int, n_workers: int) -> list:
         return list(pool.map(fn, range(R)))
 
 
-def _collect(
-    plan: SimulationPlan, raw: list, level: int, estimators
-) -> dict[str, tuple[list[ReplicationResult], IndexSummary]]:
-    # every estimator's R results at one level (0: alpha, 1: beta), scored
-    # with one index call over the (R, estimators) arrays
-    at = [plan.estimators.index(e) for e in estimators]
-    coverage = np.array([cov[level, at] for cov, _, _ in raw])
-    length = np.array([ell[level, at] for _, ell, _ in raw])
+def _results(plan: SimulationPlan, coverage: np.ndarray, length: np.ndarray) -> StudyResults:
+    # the (R, E) arrays scored with one index call, then one summary per
+    # column (through the module name, so a wrapper on it sees each call)
     index = compute_index_array(coverage, length, plan.index_config)
-    out = {}
-    for e, *columns in zip(estimators, coverage.T.tolist(), length.T.tolist(), index.T.tolist()):
-        results = [ReplicationResult(e, *triple) for triple in zip(*columns)]
-        out[e] = (results, summarize_index(results))
-    return out
+    summaries = tuple(map(summarize_index, coverage.T, length.T, index.T))
+    return StudyResults(plan.estimators, coverage, length, index, summaries)
 
 
-def run_mean_study(
-    plan: SimulationPlan, *, n_workers: int = 1
-) -> dict[str, tuple[list[ReplicationResult], IndexSummary]]:
+def run_mean_study(plan: SimulationPlan, *, n_workers: int = 1) -> StudyResults:
     """Score the plan's mean-interval estimators over R replications.
 
-    Returns, per estimator, the R replication results and the summary of
-    their R index values, all at the plan's alpha.  Calibrated intervals
-    come only from :func:`run_calibration_study`.
+    Returns the ``(R, E)`` coverage, mean length and index of every
+    replication and estimator, and each estimator's summary of its R
+    index values, all at the plan's alpha.  Calibrated intervals come
+    only from :func:`run_calibration_study`.
     """
     if plan.model.kind not in ("normal", "lognormal"):
         raise ConfigError("run_mean_study requires a normal or lognormal model")
     raw = _map_replications(partial(_replication, plan, False), plan.R, n_workers)
-    return _collect(plan, raw, 0, plan.estimators)
+    coverage, length, _ = map(np.array, zip(*raw))
+    return _results(plan, coverage[:, 0], length[:, 0])
 
 
-def run_calibration_study(
-    plan: SimulationPlan, *, n_workers: int = 1
-) -> dict[str, CalibrationComparison]:
+def run_calibration_study(plan: SimulationPlan, *, n_workers: int = 1) -> CalibrationStudy:
     """Uncalibrated-versus-calibrated comparison for every estimator.
 
     One pass over the streams issues every estimator at alpha and at each
     sample's calibrated beta.  The skip rule is then applied per estimator
-    at study level: estimators whose empirical coverage is within
-    ``plan.skip_delta`` of nominal keep their uncalibrated results, and
-    their calibrated ones are dropped; the rest report the results at beta.
+    at study level: an estimator whose uncalibrated coverage is within
+    ``plan.skip_delta`` of nominal is skipped, and its calibrated column
+    is its uncalibrated one; the other columns hold the results at beta.
     """
     if plan.model.kind not in ("normal", "lognormal"):
         raise ConfigError("run_calibration_study requires a normal or lognormal model")
     if plan.B < 2 or plan.n < 3:
         raise ConfigError("calibration requires B >= 2 and n >= 3")
     raw = _map_replications(partial(_replication, plan, True), plan.R, n_workers)
-    uncal = _collect(plan, raw, 0, plan.estimators)
-    to_calibrate = tuple(
-        e for e in plan.estimators
-        if abs(uncal[e][1].coverage - (1.0 - plan.alpha)) > plan.skip_delta
+    # (R, levels, E) coverage and length, and the R mean betas
+    coverage, length, betas = map(np.array, zip(*raw))
+    uncalibrated = _results(plan, coverage[:, 0], length[:, 0])
+    skipped = np.array([
+        abs(s.coverage - (1.0 - plan.alpha)) <= plan.skip_delta for s in uncalibrated.summaries
+    ])
+    calibrated = _results(
+        plan,
+        np.where(skipped, coverage[:, 0], coverage[:, 1]),
+        np.where(skipped, length[:, 0], length[:, 1]),
     )
-    cal = _collect(plan, raw, 1, to_calibrate)
-    mean_beta = float(np.mean([beta for _, _, beta in raw]))
-
-    return {
-        e: CalibrationComparison(
-            estimator=e,
-            uncalibrated=uncal[e],
-            calibrated=cal.get(e, uncal[e]),
-            skipped=e not in cal,
-            empirical_coverage=uncal[e][1].coverage,
-            mean_beta=mean_beta if e in cal else math.nan,
-        )
-        for e in plan.estimators
-    }
+    mean_beta = np.where(skipped, math.nan, float(np.mean(betas)))
+    return CalibrationStudy(uncalibrated, calibrated, skipped, mean_beta)
 
 
-def run_proportion_study(plan: SimulationPlan) -> dict[str, ReplicationResult]:
+def run_proportion_study(plan: SimulationPlan) -> StudyResults:
     """One coverage/length/index triple per proportion estimator.
 
     Draws R counts from the binomial model (stream (3,)), then evaluates
     each estimator once per distinct count drawn and weights by the count
     frequencies, so coverage is a multiple of 1/R and the study costs at
     most min(R, n + 1) interval evaluations per estimator, in O(R) memory.
+    The triples are the single row of the ``(1, E)`` results.
     """
     if plan.model.kind != "binomial":
         raise ConfigError("run_proportion_study requires a binomial model")
@@ -400,9 +391,5 @@ def run_proportion_study(plan: SimulationPlan) -> dict[str, ReplicationResult]:
         _weighted_outcomes(e, plan.model.n_trials, p, plan.alpha, x, weights)
         for e in plan.estimators
     ]
-    coverage, length = (np.array(sums) / plan.R).T.tolist()
-    index = compute_index_array(coverage, length, plan.index_config)
-    return {
-        e: ReplicationResult(e, c, ell, i)
-        for e, c, ell, i in zip(plan.estimators, coverage, length, index.tolist())
-    }
+    coverage, length = (np.array(sums) / plan.R).T[:, None]
+    return _results(plan, coverage, length)

@@ -133,19 +133,27 @@ def _calibration_study(n: int):
     return _CACHE[key]
 
 
-def _mean_cov_len(reps) -> tuple[float, float]:
-    cov = float(np.mean([r.coverage for r in reps]))
-    length = float(np.mean([r.mean_length for r in reps]))
-    return cov, length
+def _column(results, kind: str, field: str) -> np.ndarray:
+    """One estimator's (R,) column of a study's coverage, mean_length or index."""
+    return getattr(results, field)[:, results.estimators.index(kind)]
 
 
-def _paired_diff(reps_a, reps_b, field: str) -> tuple[float, float]:
+def _summary(results, kind: str):
+    return results.summaries[results.estimators.index(kind)]
+
+
+def _mean_cov_len(coverage, length) -> tuple[float, float]:
+    return float(np.mean(coverage)), float(np.mean(length))
+
+
+def _paired_diff(a, b) -> tuple[float, float]:
     """Mean and standard error of the per-replication differences a - b.
 
-    Estimators share every stream within a replication, so the paired
-    standard error is far smaller than the marginal ones suggest.
+    ``a`` and ``b`` are two estimators' (R,) columns.  Estimators share
+    every stream within a replication, so the paired standard error is
+    far smaller than the marginal ones suggest.
     """
-    diffs = np.array([getattr(a, field) - getattr(b, field) for a, b in zip(reps_a, reps_b)])
+    diffs = a - b
     return float(diffs.mean()), float(diffs.std(ddof=1) / np.sqrt(diffs.size))
 
 
@@ -255,7 +263,7 @@ def test_criterion_04_proportion_coverage_matches_exact():
             for kind in PROPORTION_ESTIMATORS:
                 exact = exact_performance(kind, n, p, 0.05).coverage
                 tol = 3.0 * np.sqrt(exact * (1.0 - exact) / 1000.0)
-                got = results[kind].coverage
+                got = _column(results, kind, "coverage")[0]
                 if abs(got - exact) > tol:
                     failures.append(
                         f"{kind} n={n} p={p}: |{got:.4f} - {exact:.4f}| > {tol:.4f}"
@@ -275,7 +283,7 @@ def test_criterion_05_normal_mean_index_table():
     for n in (50, 500):
         results = _normal_mean_study(n)
         for kind, printed in zip(ESTIMATORS, _reference_row(n)):
-            got = results[kind][1].mean
+            got = _summary(results, kind).mean
             checks.append(
                 (
                     f"n={n} {kind}: mean index {got:.4f} within 0.02 of"
@@ -284,8 +292,10 @@ def test_criterion_05_normal_mean_index_table():
                 )
             )
     res50 = _normal_mean_study(50)
-    nt, jt, pc, bc = (res50[kind][1].mean for kind in ESTIMATORS)
-    gap, se = _paired_diff(res50["johnson_t"][0], res50["normal_theory"][0], "index")
+    nt, jt, pc, bc = (_summary(res50, kind).mean for kind in ESTIMATORS)
+    gap, se = _paired_diff(
+        _column(res50, "johnson_t", "index"), _column(res50, "normal_theory", "index")
+    )
     checks.append(
         (
             f"n=50 johnson_t {jt:.5f} >= normal_theory {nt:.5f} within 3 paired"
@@ -316,7 +326,7 @@ def test_reference_table_row_alignment():
     shifted = tables.MEAN_INDEX_MEANS[100]
     assert tables.MEAN_INDEX_ACTUAL_N[100] == 50
     for kind, printed in zip(ESTIMATORS, shifted):
-        got = res50[kind][1].mean
+        got = _summary(res50, kind).mean
         assert abs(got - printed) <= 0.02, (
             f"{kind}: n=50 study {got:.4f} vs row labeled 100 {printed:.4f}"
         )
@@ -324,7 +334,7 @@ def test_reference_table_row_alignment():
     res500 = _normal_mean_study(500)
     assert tables.MEAN_INDEX_ACTUAL_N[500] == 500
     for kind, printed in zip(ESTIMATORS, tables.MEAN_INDEX_MEANS[500]):
-        got = res500[kind][1].mean
+        got = _summary(res500, kind).mean
         assert abs(got - printed) <= 0.02, (
             f"{kind}: n=500 study {got:.4f} vs printed {printed:.4f}"
         )
@@ -336,7 +346,7 @@ def test_criterion_06_lognormal_directional_facts():
 
     heavy = {n: _lognormal_study(3.0, n) for n in (10, 100, 1000)}
     means = {
-        n: {kind: heavy[n][kind][1].mean for kind in ESTIMATORS}
+        n: {kind: _summary(heavy[n], kind).mean for kind in ESTIMATORS}
         for n in (10, 100, 1000)
     }
     bca10 = means[10]["bca"]
@@ -361,7 +371,7 @@ def test_criterion_06_lognormal_directional_facts():
 
     by_sigma = {s: _lognormal_study(s, 10) for s in (3.0, 1.0, 0.2)}
     for kind in ESTIMATORS:
-        seq = [by_sigma[s][kind][1].mean for s in (3.0, 1.0, 0.2)]
+        seq = [_summary(by_sigma[s], kind).mean for s in (3.0, 1.0, 0.2)]
         checks.append(
             (
                 f"{kind}: index rises as sigma2 falls 3 -> 1 -> 0.2: "
@@ -382,9 +392,14 @@ def test_criterion_07_calibration_effect():
     checks = []
 
     res10 = _calibration_study(10)
-    cmp_nt = res10["normal_theory"]
-    u_cov, u_len = _mean_cov_len(cmp_nt.uncalibrated[0])
-    c_cov, c_len = _mean_cov_len(cmp_nt.calibrated[0])
+    u_cov, u_len = _mean_cov_len(
+        _column(res10.uncalibrated, "normal_theory", "coverage"),
+        _column(res10.uncalibrated, "normal_theory", "mean_length"),
+    )
+    c_cov, c_len = _mean_cov_len(
+        _column(res10.calibrated, "normal_theory", "coverage"),
+        _column(res10.calibrated, "normal_theory", "mean_length"),
+    )
     printed_uncal, printed_cal = tables.CALIBRATION_ROWS[(10, "normal_theory")]
 
     checks.append(
@@ -427,26 +442,27 @@ def test_criterion_07_calibration_effect():
     )
 
     res30 = _calibration_study(30)
-    skipped = sorted(kind for kind in ESTIMATORS if res30[kind].skipped)
+    skip_of = dict(zip(res30.uncalibrated.estimators, res30.skipped.tolist()))
+    skipped = sorted(kind for kind in ESTIMATORS if skip_of[kind])
     checks.append(
         (f"n=30 skip rule engages for at least one estimator: {skipped}", bool(skipped))
     )
     for kind in ESTIMATORS:
-        cmp_k = res30[kind]
-        near = abs(cmp_k.empirical_coverage - 0.95) <= 0.005
+        empirical = _summary(res30.uncalibrated, kind).coverage
+        near = abs(empirical - 0.95) <= 0.005
         checks.append(
             (
-                f"n=30 {kind}: skipped={cmp_k.skipped} matches |{cmp_k.empirical_coverage:.4f}"
+                f"n=30 {kind}: skipped={skip_of[kind]} matches |{empirical:.4f}"
                 " - 0.95| <= 0.005",
-                cmp_k.skipped == near,
+                skip_of[kind] == near,
             )
         )
-        if cmp_k.skipped:
+        if skip_of[kind]:
             identical = all(
-                a.coverage == b.coverage
-                and a.mean_length == b.mean_length
-                and a.index == b.index
-                for a, b in zip(cmp_k.uncalibrated[0], cmp_k.calibrated[0])
+                np.array_equal(
+                    _column(res30.uncalibrated, kind, field), _column(res30.calibrated, kind, field)
+                )
+                for field in ("coverage", "mean_length", "index")
             )
             checks.append(
                 (f"n=30 {kind}: skipped rows identical to uncalibrated", identical)

@@ -6,6 +6,7 @@ import dataclasses
 import math
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from ciindex import (
     IndexConfig,
     InsufficientDataError,
     IntervalPerformance,
-    ReplicationResult,
     SeedSpec,
     SimulationPlan,
+    StudyResults,
     binomial_model,
     calibrate_level,
     compute_index,
@@ -67,19 +68,30 @@ FROZEN_MEANS = {
 }
 
 
-def _study_means(reps):
-    cov = float(np.mean([r.coverage for r in reps]))
-    length = float(np.mean([r.mean_length for r in reps]))
-    return cov, length
+FIELDS = ("coverage", "mean_length", "index")
 
 
-def _results(indexes):
-    # summarize_index takes one estimator's results; only the index varies
-    return [ReplicationResult("normal_theory", 0.95, 1.0, i) for i in indexes]
+def _study_means(coverage, length):
+    # the mean of one estimator's (R,) coverage and length columns
+    return float(np.mean(coverage)), float(np.mean(length))
+
+
+def _columns(indexes):
+    # summarize_index takes one estimator's three (R,) columns; only the
+    # index varies
+    index = np.array(indexes, dtype=float)
+    return np.full(index.size, 0.95), np.ones(index.size), index
+
+
+def _assert_same_results(a, b):
+    for field in FIELDS:
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert a.estimators == b.estimators
+    assert repr(a.summaries) == repr(b.summaries)
 
 
 def test_summarize_index_symmetric_triple():
-    s = summarize_index(_results([-1.0, 0.0, 1.0]))
+    s = summarize_index(*_columns([-1.0, 0.0, 1.0]))
     assert s.mean == 0.0
     assert s.st_dev == 1.0
     assert s.skewness == 0.0
@@ -87,7 +99,7 @@ def test_summarize_index_symmetric_triple():
 
 
 def test_summarize_index_constant_values():
-    s = summarize_index(_results([2.0, 2.0, 2.0, 2.0]))
+    s = summarize_index(*_columns([2.0, 2.0, 2.0, 2.0]))
     assert s.st_dev == 0.0
     assert math.isnan(s.skewness) and math.isnan(s.kurtosis)
     assert s.mean == 2.0
@@ -97,11 +109,11 @@ def test_summarize_index_short_inputs():
     # R = 1 and R = 2 studies are summarized too: the shape statistics are
     # undefined below 3 values, and the standard deviation for 1
     with pytest.raises(InsufficientDataError):
-        summarize_index(_results([]))
-    one = summarize_index(_results([0.3]))
+        summarize_index(*_columns([]))
+    one = summarize_index(*_columns([0.3]))
     assert one.mean == 0.3
     assert math.isnan(one.st_dev) and math.isnan(one.skewness) and math.isnan(one.kurtosis)
-    two = summarize_index(_results([0.1, 0.2]))
+    two = summarize_index(*_columns([0.1, 0.2]))
     assert two.mean == float(np.mean([0.1, 0.2]))
     assert two.st_dev == float(np.std([0.1, 0.2], ddof=1))
     assert math.isnan(two.skewness) and math.isnan(two.kurtosis)
@@ -109,18 +121,18 @@ def test_summarize_index_short_inputs():
 
 def test_mean_study_frozen_regression():
     results = run_mean_study(MEAN_PLAN)
-    assert set(results) == set(MEAN_PLAN.estimators)
+    assert results.estimators == MEAN_PLAN.estimators
     for est, (cov, length, idx_mean) in FROZEN_MEANS.items():
-        reps, summary = results[est]
-        assert len(reps) == MEAN_PLAN.R
-        got_cov, got_len = _study_means(reps)
+        j = results.estimators.index(est)
+        assert results.coverage[:, j].shape == (MEAN_PLAN.R,)
+        got_cov, got_len = _study_means(results.coverage[:, j], results.mean_length[:, j])
         assert got_cov == pytest.approx(cov, abs=1e-12)
         assert got_len == pytest.approx(length, abs=1e-12)
-        assert summary.mean == pytest.approx(idx_mean, abs=1e-12)
-    first = results["normal_theory"][0][0]
-    assert first.coverage == pytest.approx(0.91, abs=1e-15)
-    assert first.mean_length == pytest.approx(1.217211315358577, abs=1e-12)
-    assert first.index == pytest.approx(0.8490124163512437, abs=1e-12)
+        assert results.summaries[j].mean == pytest.approx(idx_mean, abs=1e-12)
+    # replication 0 of normal_theory, the plan's first estimator
+    assert results.coverage[0, 0] == pytest.approx(0.91, abs=1e-15)
+    assert results.mean_length[0, 0] == pytest.approx(1.217211315358577, abs=1e-12)
+    assert results.index[0, 0] == pytest.approx(0.8490124163512437, abs=1e-12)
 
 
 def test_replication_invariants():
@@ -130,20 +142,20 @@ def test_replication_invariants():
     assert cfg is MEAN_PLAN.index_config
     assert cfg == IndexConfig(MEAN_PLAN.alpha, MEAN_PLAN.loss, MEAN_PLAN.rescaled)
     assert "_index_config" not in dataclasses.asdict(MEAN_PLAN)
-    for reps, _summary in results.values():
-        for rep in reps:
-            # coverage counts hits out of N samples
-            assert abs(rep.coverage * MEAN_PLAN.N - round(rep.coverage * MEAN_PLAN.N)) < 1e-9
-            want = compute_index(IntervalPerformance(rep.coverage, rep.mean_length), cfg)
-            assert rep.index == pytest.approx(want, abs=1e-12)
+    for coverage, length, index in zip(
+        *(getattr(results, field).ravel().tolist() for field in FIELDS)
+    ):
+        # coverage counts hits out of N samples
+        assert abs(coverage * MEAN_PLAN.N - round(coverage * MEAN_PLAN.N)) < 1e-9
+        want = compute_index(IntervalPerformance(coverage, length), cfg)
+        assert index == pytest.approx(want, abs=1e-12)
 
 
 def test_worker_count_does_not_change_results():
     serial = run_mean_study(MEAN_PLAN)
     parallel = run_mean_study(MEAN_PLAN, n_workers=2)
-    for est in MEAN_PLAN.estimators:
-        for a, b in zip(serial[est][0], parallel[est][0]):
-            assert a == b
+    for field in FIELDS:
+        assert np.array_equal(getattr(serial, field), getattr(parallel, field)), field
 
 
 def test_single_replication_degenerates():
@@ -157,10 +169,48 @@ def test_single_replication_degenerates():
         estimators=("normal_theory",),
         master_seed=3,
     )
-    reps, summary = run_mean_study(plan)["normal_theory"]
-    assert len(reps) == 1
+    results = run_mean_study(plan)
+    assert results.coverage.shape == (1, 1)
+    summary = results.summaries[0]
     assert math.isnan(summary.skewness)
     assert summary.st_dev == 0.0 or math.isnan(summary.st_dev)
+
+
+def test_results_are_R_by_E_columns_in_plan_order():
+    # one row per replication (a single row for a proportion study) and
+    # one column per estimator, in the plan's order: permuting the plan's
+    # estimators permutes the columns and changes no value
+    plan = dataclasses.replace(MEAN_PLAN, N=40, R=3, skip_delta=0.0)
+    permuted = dataclasses.replace(plan, estimators=plan.estimators[::-1])
+    prop = SimulationPlan(
+        model=binomial_model(20, 0.3), n=20, N=1, B=1, R=50, alpha=0.05,
+        estimators=PROPORTION_ESTIMATORS, master_seed=5,
+    )
+    prop_permuted = dataclasses.replace(prop, estimators=prop.estimators[::-1])
+    cal, cal_permuted = run_calibration_study(plan), run_calibration_study(permuted)
+    cases = [
+        (plan, run_mean_study(plan), permuted, run_mean_study(permuted)),
+        (plan, cal.uncalibrated, permuted, cal_permuted.uncalibrated),
+        (plan, cal.calibrated, permuted, cal_permuted.calibrated),
+        (prop, run_proportion_study(prop), prop_permuted, run_proportion_study(prop_permuted)),
+    ]
+    for plan_a, a, plan_b, b in cases:
+        for p, results in ((plan_a, a), (plan_b, b)):
+            assert isinstance(results, StudyResults)
+            assert results.estimators == p.estimators
+            rows = 1 if p.model.kind == "binomial" else p.R
+            for field in FIELDS:
+                column = getattr(results, field)
+                assert column.shape == (rows, len(p.estimators)), field
+                assert column.dtype == np.float64, field
+            assert len(results.summaries) == len(p.estimators)
+        for j, e in enumerate(b.estimators):
+            assert repr(_column(b, j)) == repr(_column(a, a.estimators.index(e))), e
+    for study in (cal, cal_permuted):
+        assert study.skipped.shape == study.mean_beta.shape == (len(plan.estimators),)
+        assert study.skipped.dtype == bool
+    assert np.array_equal(cal_permuted.skipped[::-1], cal.skipped)
+    assert np.array_equal(cal_permuted.mean_beta[::-1], cal.mean_beta, equal_nan=True)
 
 
 def test_proportion_study_matches_exact_performance():
@@ -175,16 +225,17 @@ def test_proportion_study_matches_exact_performance():
         master_seed=77,
     )
     results = run_proportion_study(plan)
-    for est in plan.estimators:
-        rep = results[est]
+    for est, coverage, length, index in zip(
+        plan.estimators, *(getattr(results, field)[0].tolist() for field in FIELDS)
+    ):
         # simulated coverage is a count out of R
-        assert abs(rep.coverage * plan.R - round(rep.coverage * plan.R)) < 1e-9
+        assert abs(coverage * plan.R - round(coverage * plan.R)) < 1e-9
         truth = exact_performance(est, 10, 0.3, 0.05)
         sd = math.sqrt(truth.coverage * (1.0 - truth.coverage) / plan.R)
-        assert abs(rep.coverage - truth.coverage) <= 4.0 * sd
-        assert rep.mean_length == pytest.approx(truth.mean_length, abs=0.02)
-        want = compute_index(IntervalPerformance(rep.coverage, rep.mean_length), plan.index_config)
-        assert rep.index == pytest.approx(want, abs=1e-12)
+        assert abs(coverage - truth.coverage) <= 4.0 * sd
+        assert length == pytest.approx(truth.mean_length, abs=0.02)
+        want = compute_index(IntervalPerformance(coverage, length), plan.index_config)
+        assert index == pytest.approx(want, abs=1e-12)
 
 
 def test_proportion_study_memory_follows_R_not_n_trials():
@@ -221,11 +272,10 @@ def test_calibration_study_skip_all_identity():
         master_seed=11,
         skip_delta=1.0,
     )
-    comparison = run_calibration_study(plan)
-    for comp in comparison.values():
-        assert comp.skipped
-        assert math.isnan(comp.mean_beta)
-        assert comp.uncalibrated[0] == comp.calibrated[0]
+    study = run_calibration_study(plan)
+    assert study.skipped.tolist() == [True, True]
+    assert np.isnan(study.mean_beta).all()
+    _assert_same_results(study.calibrated, study.uncalibrated)
 
 
 def test_calibration_study_widens_when_not_skipped():
@@ -240,14 +290,15 @@ def test_calibration_study_widens_when_not_skipped():
         master_seed=11,
         skip_delta=0.0001,
     )
-    comp = run_calibration_study(plan)["normal_theory"]
-    assert not comp.skipped
-    assert 0.0 < comp.mean_beta < 0.05
-    uncal_cov, uncal_len = _study_means(comp.uncalibrated[0])
-    cal_cov, cal_len = _study_means(comp.calibrated[0])
+    study = run_calibration_study(plan)
+    assert not study.skipped[0]
+    assert 0.0 < study.mean_beta[0] < 0.05
+    uncal, cal = study.uncalibrated, study.calibrated
+    uncal_cov, uncal_len = _study_means(uncal.coverage[:, 0], uncal.mean_length[:, 0])
+    cal_cov, cal_len = _study_means(cal.coverage[:, 0], cal.mean_length[:, 0])
     assert cal_len > uncal_len
     assert cal_cov > uncal_cov
-    assert comp.empirical_coverage == pytest.approx(uncal_cov, abs=1e-12)
+    assert uncal.summaries[0].coverage == pytest.approx(uncal_cov, abs=1e-12)
 
 
 def test_calibration_study_opens_each_stream_once(monkeypatch):
@@ -283,8 +334,8 @@ def test_calibration_study_opens_each_stream_once(monkeypatch):
         master_seed=3,
         skip_delta=0.0,
     )
-    comparison = run_calibration_study(plan)
-    assert not all(comp.skipped for comp in comparison.values())
+    study = run_calibration_study(plan)
+    assert not study.skipped.all()
     streams = {(1, r) for r in range(3)} | {(2, r, i) for r in range(3) for i in range(20)}
     assert openings == [((2, r), 20) for r in range(3)]
     assert set(opened) == streams
@@ -305,16 +356,16 @@ def test_calibration_study_skip_boundary():
         master_seed=17,
         skip_delta=0.0,
     )
-    first = run_calibration_study(plan)["normal_theory"]
-    d = abs(first.empirical_coverage - 0.95)
+    first = run_calibration_study(plan)
+    d = abs(first.uncalibrated.summaries[0].coverage - 0.95)
     assert d > 0.0
-    at_edge = run_calibration_study(dataclasses.replace(plan, skip_delta=d))["normal_theory"]
-    assert at_edge.skipped
-    assert at_edge.calibrated == at_edge.uncalibrated
+    at_edge = run_calibration_study(dataclasses.replace(plan, skip_delta=d))
+    assert at_edge.skipped[0]
+    _assert_same_results(at_edge.calibrated, at_edge.uncalibrated)
     inside = dataclasses.replace(plan, skip_delta=math.nextafter(d, 0.0))
-    calibrated = run_calibration_study(inside)["normal_theory"]
-    assert not calibrated.skipped
-    assert calibrated.calibrated == first.calibrated
+    calibrated = run_calibration_study(inside)
+    assert not calibrated.skipped[0]
+    _assert_same_results(calibrated.calibrated, first.calibrated)
     assert DEFAULT_SKIP_DELTA == 0.005
 
 
@@ -481,16 +532,24 @@ def _reference_replication(plan, calibrate, r):
 
 
 def _reference_results(plan, reps, level, j):
-    out = []
-    for per_level, _ in reps:
-        coverage, length = per_level[level][j]
-        index = compute_index(IntervalPerformance(coverage, length), plan.index_config)
-        out.append(ReplicationResult(plan.estimators[j], coverage, length, index))
-    summary = summarize_index(out)
+    # estimator j's R coverages, lengths and indexes at one level, as
+    # lists, and their summary
+    coverage = [per_level[level][j][0] for per_level, _ in reps]
+    length = [per_level[level][j][1] for per_level, _ in reps]
+    index = [
+        compute_index(IntervalPerformance(c, ell), plan.index_config)
+        for c, ell in zip(coverage, length)
+    ]
+    summary = summarize_index(np.array(coverage), np.array(length), np.array(index))
     # the summary's means, checked here and not only through summarize_index
-    _assert_same(summary.coverage, float(np.mean([res.coverage for res in out])))
-    _assert_same(summary.mean_length, float(np.mean([res.mean_length for res in out])))
-    return out, summary
+    _assert_same(summary.coverage, float(np.mean(coverage)))
+    _assert_same(summary.mean_length, float(np.mean(length)))
+    return coverage, length, index, summary
+
+
+def _column(results, j):
+    # a study's column j in _reference_results' form
+    return (*(getattr(results, field)[:, j].tolist() for field in FIELDS), results.summaries[j])
 
 
 def _assert_same(got, want):
@@ -531,19 +590,53 @@ def test_engine_equals_the_reference_loop(case):
     reps = [_reference_replication(plan, calibrate, r) for r in range(plan.R)]
     if not calibrate:
         study = run_mean_study(plan)
-        for j, e in enumerate(plan.estimators):
-            _assert_same(study[e], _reference_results(plan, reps, 0, j))
+        assert study.estimators == plan.estimators
+        for j in range(len(plan.estimators)):
+            _assert_same(_column(study, j), _reference_results(plan, reps, 0, j))
         return
     study = run_calibration_study(plan)
-    for j, e in enumerate(plan.estimators):
-        comp = study[e]
+    for results in (study.uncalibrated, study.calibrated):
+        assert results.estimators == plan.estimators
+    for j in range(len(plan.estimators)):
         uncal = _reference_results(plan, reps, 0, j)
-        coverage = float(np.mean([res.coverage for res in uncal[0]]))
+        coverage = float(np.mean(uncal[0]))
         skipped = not abs(coverage - (1.0 - plan.alpha)) > plan.skip_delta
-        _assert_same(comp.uncalibrated, uncal)
-        _assert_same(comp.empirical_coverage, coverage)
-        _assert_same(comp.empirical_coverage, comp.uncalibrated[1].coverage)
-        assert comp.skipped == skipped
-        _assert_same(comp.calibrated, uncal if skipped else _reference_results(plan, reps, 1, j))
+        _assert_same(_column(study.uncalibrated, j), uncal)
+        _assert_same(study.uncalibrated.summaries[j].coverage, coverage)
+        assert study.skipped[j] == skipped
+        _assert_same(
+            _column(study.calibrated, j), uncal if skipped else _reference_results(plan, reps, 1, j)
+        )
         mean_beta = math.nan if skipped else float(np.mean([beta for _, beta in reps]))
-        _assert_same(comp.mean_beta, mean_beta)
+        _assert_same(study.mean_beta[j].item(), mean_beta)
+
+
+# ------------------------------------------------- documented entry points
+
+
+def test_desk_demo_prints_every_estimator_and_the_highest_index(run_child):
+    child = run_child("demos/run_desk_study.py")
+    assert child.returncode == 0, child.stderr
+    _title, table, last = child.stdout.split("\n\n")
+    assert [row.split()[0] for row in table.splitlines()[1:]] == list(MEAN_ESTIMATORS)
+    assert last.startswith("highest index: ")
+    assert last.split()[-1] in MEAN_ESTIMATORS
+
+
+def _readme_quickstart() -> str:
+    # the python block under the README's "Library quickstart" heading
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quickstart\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quickstart_runs(run_child):
+    child = run_child("-c", _readme_quickstart())
+    assert child.returncode == 0, child.stderr
+    lines = child.stdout.splitlines()
+    assert lines[0] == "0.9281"
+    assert lines[1] == "(50, 2)"
+    assert [line.split()[0] for line in lines[2:]] == ["normal_theory", "bca"]
+    for line in lines[2:]:
+        coverage, length, index = map(float, line.split()[1:])
+        assert 0.8 < coverage < 1.0 and 0.0 < length and 0.0 < index < 1.0

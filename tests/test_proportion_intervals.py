@@ -1,10 +1,6 @@
 """Binomial interval catalog: anchors, closed forms, symmetry, clipping."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -141,17 +137,7 @@ def test_exact_performance_exact_estimator_conservative():
         assert perf.coverage <= 1.0
 
 
-def _child(*args: str) -> subprocess.CompletedProcess:
-    # a fresh interpreter on this checkout's sources
-    repo = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], cwd=repo, env=env, capture_output=True, text=True, check=False,
-    )
-
-
-def test_exact_performance_leaves_scipy_stats_unloaded():
+def test_exact_performance_leaves_scipy_stats_unloaded(run_child):
     # the oracle's pmf comes from the scipy.special kernel; a fresh process
     # is needed because this suite itself loads scipy.stats
     script = (
@@ -161,14 +147,14 @@ def test_exact_performance_leaves_scipy_stats_unloaded():
         "    exact_performance(kind, 40, 0.3, 0.05)\n"
         "print(len(PROPORTION_ESTIMATORS), 'scipy.stats' in sys.modules)\n"
     )
-    child = _child("-c", script)
+    child = run_child("-c", script)
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "11 False"
 
 
-def test_compare_demo_prints_every_estimator_at_every_p():
+def test_compare_demo_prints_every_estimator_at_every_p(run_child):
     # the demo is an exact_performance sweep over p at one n
-    child = _child("demos/compare_proportion_intervals.py")
+    child = run_child("demos/compare_proportion_intervals.py")
     assert child.returncode == 0, child.stderr
     blocks = child.stdout.split("\np = ")[1:]
     assert [block.split("\n", 1)[0] for block in blocks] == ["0.1", "0.3", "0.5"]
