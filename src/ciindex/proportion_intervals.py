@@ -15,9 +15,11 @@ The pmf comes from :mod:`ciindex.special`, through the kernel that
 ``scipy.stats`` without importing it.
 The oracle's n + 1 intervals depend on (kind, n, alpha) alone: the first
 call at a key keeps them as a read-only table (the last 128 keys, at most
-about 20 MB); a proportion study scores only its drawn counts, in O(R)
-memory.  Both evaluate each formula once over an array of outcomes; the
-arcsine formulas alone go one outcome at a time, through :mod:`math`.
+about 20 MB); its pmf depends on (n, p) alone, and the last one is kept,
+read-only, so a sweep over the kinds at one (n, p) computes it once.  A
+proportion study scores only its drawn counts, in O(R) memory.  Both
+evaluate each formula once over an array of outcomes; the arcsine
+formulas alone go one outcome at a time, through :mod:`math`.
 
 Boundary conventions keep every estimator total: a Beta quantile with a
 zero shape parameter is the corresponding endpoint (0 or 1), a chi-square
@@ -185,8 +187,9 @@ def proportion_interval(kind: str, obs: BinomialObservation, alpha: float) -> Co
 
 
 def _tally(ci: ConfidenceInterval, p: float, weights) -> tuple[float, float]:
-    # running totals (cumsum) of w * [interval covers p] and w * length
-    return np.cumsum(np.where(ci.contains(p), weights, 0.0))[-1], np.cumsum(weights * ci.length)[-1]
+    # running totals of w * [interval covers p] and w * length (cumsum, minus its wrapper)
+    covered = np.where(ci.contains(p), weights, 0.0)
+    return np.add.accumulate(covered)[-1], np.add.accumulate(weights * ci.length)[-1]
 
 
 def _weighted_outcomes(kind: str, n: int, p: float, alpha: float, x, weights) -> tuple[float, float]:
@@ -204,12 +207,22 @@ _TABLES = 128
 
 
 @functools.lru_cache(maxsize=_TABLES)
-def _outcome_table(kind: str, n: int, alpha: float) -> ConfidenceInterval:
-    # the intervals of every outcome x = 0..n, validated once, read-only
-    table = ConfidenceInterval(*_clipped(kind, n, np.arange(n + 1), alpha, _z(kind, alpha)))
-    table.lower.setflags(write=False)
-    table.upper.setflags(write=False)
-    return table
+def _outcome_table(kind: str, n: int, alpha: float) -> ConfidenceInterval | tuple[np.ndarray, np.ndarray]:
+    # the intervals of every outcome x = 0..n, read-only; kind and alpha errors are
+    # not kept.  Endpoints inverted somewhere (arcsine at tiny alpha; NaN fails <=
+    # too) stay a bare (lower, upper) pair, and each call checks its nonzero pmf
+    lower, upper = _clipped(kind, n, np.arange(n + 1), alpha, _z(kind, alpha))
+    lower.setflags(write=False)
+    upper.setflags(write=False)
+    return ConfidenceInterval(lower, upper) if (lower <= upper).all() else (lower, upper)
+
+
+# a sweep over the kinds at one (n, p) shares one pmf: at most 80 KB
+@functools.lru_cache(maxsize=1)
+def _pmf(n: int, p: float) -> np.ndarray:
+    pmf = _binomial_pmf(n, p)
+    pmf.setflags(write=False)
+    return pmf
 
 
 def exact_performance(kind: str, n: int, p: float, alpha: float) -> IntervalPerformance:
@@ -218,17 +231,25 @@ def exact_performance(kind: str, n: int, p: float, alpha: float) -> IntervalPerf
     Sums the binomial pmf over all outcomes x = 0..n, so the result is
     deterministic; intended as the reference for Monte Carlo runs.  The
     first call at a (kind, n, alpha) evaluates all n + 1 intervals, those
-    of zero pmf included, into a read-only table that later p reuse.
+    of zero pmf included, into a read-only table that later p reuse; the
+    last (n, p) keeps its pmf for the next kind.  Where a table inverts, only
+    the outcomes of nonzero pmf are scored, and raise if any is inverted.
     """
     if not (isinstance(n, int) and 1 <= n <= 10**4):
         raise DomainError(f"n must be an integer in [1, 10^4], got {n!r}")
     _check_prob_open(p)
-    pmf = _binomial_pmf(n, p)
     try:
+        pmf = _pmf(n, p)
+    except TypeError:  # an unhashable p, such as a 0-d array
+        pmf = _binomial_pmf(n, p)
+    try:
+        table = _outcome_table(kind, n, alpha)
+    except TypeError:  # an unhashable key, such as a 0-d array alpha: not kept
+        table = _outcome_table.__wrapped__(kind, n, alpha)
+    if isinstance(table, ConfidenceInterval):
         # outcomes of zero pmf add +0.0 to the running totals: no bit moves
-        coverage, length = _tally(_outcome_table(kind, n, alpha), p, pmf)
-    except (DomainError, TypeError):
-        # no table (bad or unhashable key, inverted arcsine): nonzero pmf only
+        coverage, length = _tally(table, p, pmf)
+    else:
         x = np.flatnonzero(pmf)
-        coverage, length = _weighted_outcomes(kind, n, p, alpha, x, pmf[x])
+        coverage, length = _tally(ConfidenceInterval(table[0][x], table[1][x]), p, pmf[x])
     return IntervalPerformance(min(coverage, 1.0), length)

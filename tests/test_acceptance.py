@@ -43,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 import published_tables as tables
 from ciindex import (
@@ -64,7 +65,7 @@ from ciindex import (
     run_proportion_study,
 )
 from ciindex import cli
-from ciindex.special import normal_cdf, student_t_quantile
+from ciindex.special import _binomial_pmf, normal_cdf, student_t_quantile
 
 ACCEPTANCE_SEED = 20260815
 
@@ -338,6 +339,58 @@ def test_reference_table_row_alignment():
         assert abs(got - printed) <= 0.02, (
             f"{kind}: n=500 study {got:.4f} vs printed {printed:.4f}"
         )
+
+
+# Tolerance of the normal-table oracle below, a budget of three parts:
+# - the printed means are rounded to 4 decimals: 5e-5;
+# - the oracle puts E L in place of a replication's mean length Lbar.  A
+#   Taylor expansion in L bounds what that ignores by
+#   k_alpha * (1.5 * sd(eta) * sd(Lbar) + Var(Lbar)), since on
+#   [0, 1] x [0, inf) the index has |dI/deta dL| <= 1.5 k_alpha and
+#   |d2I/dL2| <= 2 k_alpha, with Var(Lbar) = (2 z sigma / sqrt(n))^2
+#   (1 - c4(n)^2) / N.  At N = 1000 it is at most 2.7e-4 (n = 10);
+# - the rest, at least 6.8e-4, is the printed means' own Monte Carlo
+#   error, sd(I_r) / sqrt(R), with sd(I_r) from the binomial alone 0.0021
+#   to 0.0055 over the rows.  The table does not state its R, so this part
+#   is not a derived band: the gaps (at most 8.2e-4) are within 1.7 SE at
+#   R = 25, but up to 23 SE at the paper preset's R = 5000.
+NORMAL_ORACLE_N = 1000
+NORMAL_ORACLE_TOL = 0.001
+
+
+def _normal_theory_oracle(n: int, N: int, cfg: IndexConfig) -> tuple[float, float]:
+    """E[mean index] of normal_theory on N(mu, 1) data, and the length-variance bound.
+
+    A sample's interval covers with p = P(|T_{n-1}| <= z) and has expected
+    length 2 z sigma c4(n) / sqrt(n); one replication's coverage is
+    Binomial(N, p) / N, so E[index] = sum_k Binom(k; N, p) I(k / N, E L).
+    """
+    z = float(special.ndtri(1.0 - cfg.alpha / 2.0))
+    p = 2.0 * float(special.stdtr(n - 1, z)) - 1.0
+    c4 = math.sqrt(2.0 / (n - 1)) * math.exp(math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0))
+    mean_length = 2.0 * z * c4 / math.sqrt(n)
+    index = compute_index_array(np.arange(N + 1) / N, mean_length, cfg)
+    var_length = (2.0 * z / math.sqrt(n)) ** 2 * (1.0 - c4 * c4) / N
+    sd_eta = math.sqrt(p * (1.0 - p) / N)
+    bound = k_alpha(cfg.alpha) * (1.5 * sd_eta * math.sqrt(var_length) + var_length)
+    return float(_binomial_pmf(N, p) @ index), bound
+
+
+def test_normal_table_matches_the_analytic_oracle():
+    """Every printed normal_theory mean index, read at the n it holds."""
+    cfg = IndexConfig(alpha=0.05)
+    column = ESTIMATORS.index("normal_theory")
+    for label, row in tables.MEAN_INDEX_MEANS.items():
+        n = tables.MEAN_INDEX_ACTUAL_N[label]
+        want, bound = _normal_theory_oracle(n, NORMAL_ORACLE_N, cfg)
+        assert bound <= 3e-4, (label, bound)
+        assert abs(want - row[column]) <= NORMAL_ORACLE_TOL, (
+            f"row {label} (n = {n}): oracle {want:.4f} vs printed {row[column]:.4f}"
+        )
+        if n != label:
+            # read at its label, a misaligned row misses by far more
+            wrong, _ = _normal_theory_oracle(label, NORMAL_ORACLE_N, cfg)
+            assert abs(wrong - row[column]) > 10 * NORMAL_ORACLE_TOL, label
 
 
 def test_criterion_06_lognormal_directional_facts():

@@ -29,7 +29,8 @@ from ciindex.mean_intervals import (
     bootstrap_mean_draws,
     percentile_from_boot_means,
 )
-from ciindex.proportion_intervals import _TABLES, _outcome_table, _weighted_outcomes
+from ciindex import proportion_intervals
+from ciindex.proportion_intervals import _TABLES, _outcome_table, _pmf, _weighted_outcomes
 from ciindex.special import _binomial_pmf, normal_cdf
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -213,6 +214,7 @@ def _exact_sweeps(draw):
 def test_exact_performance_equals_the_tally_of_scalar_formulas(case):
     n, alpha, calls = case
     _outcome_table.cache_clear()
+    _pmf.cache_clear()
     for kind, p in calls:
         try:
             cover, length = _scalar_tally(kind, n, p, alpha, _binomial_pmf(n, p))
@@ -234,6 +236,66 @@ def test_outcome_tables_are_read_only_and_bounded():
     info = _outcome_table.cache_info()
     assert info.maxsize == _TABLES
     assert info.currsize <= info.maxsize
+
+
+def _counted(calls: list, func):
+    def wrapper(*args):
+        calls.append(args)
+        return func(*args)
+
+    return wrapper
+
+
+def test_a_sweep_over_the_kinds_builds_one_pmf(monkeypatch):
+    # the pmf does not depend on the estimator: an 11-kind sweep at one
+    # (n, p) computes it once
+    calls = []
+    monkeypatch.setattr(proportion_intervals, "_binomial_pmf", _counted(calls, _binomial_pmf))
+    _pmf.cache_clear()
+    for kind in PROPORTION_ESTIMATORS:
+        exact_performance(kind, 40, 0.3, 0.05)
+    assert calls == [(40, 0.3)]
+    _pmf.cache_clear()
+
+
+def test_the_shared_pmf_is_read_only_and_equals_direct_calls():
+    _pmf.cache_clear()
+    for n, p in ((40, 0.3), (150, 0.02), (40, 0.3)):
+        pmf = _pmf(n, p)
+        with pytest.raises(ValueError):
+            pmf[0] = 0.5
+        assert pmf.tobytes() == _binomial_pmf(n, p).tobytes(), (n, p)
+    # a 0-d array p or alpha is unhashable: it takes the uncached pmf or
+    # table, same bits
+    with pytest.raises(TypeError):
+        _pmf(40, np.array(0.3))
+    for kind in PROPORTION_ESTIMATORS:
+        want = exact_performance(kind, 40, 0.3, 0.05)
+        for p, alpha in ((np.array(0.3), 0.05), (0.3, np.array(0.05))):
+            got = exact_performance(kind, 40, p, alpha)
+            assert _bits([got.coverage, got.mean_length]) == _bits([want.coverage, want.mean_length]), kind
+
+
+def test_an_inverted_table_is_evaluated_once(monkeypatch):
+    # at n = 4 and alpha = 1e-12 the arcsine interval inverts at x >= 1.
+    # The key keeps its endpoints, so a second call evaluates no formula
+    # and p = 0.3, whose pmf reaches the inverted outcomes, still raises;
+    # kind and alpha errors are not kept
+    calls = []
+    monkeypatch.setitem(proportion_intervals._FORMULAS, "arcsin", _counted(calls, proportion_intervals._arcsin))
+    _outcome_table.cache_clear()
+    first = exact_performance("arcsin", 4, 1e-310, 1e-12)
+    assert len(calls) == 1
+    again = exact_performance("arcsin", 4, 1e-310, 1e-12)
+    assert _bits([again.coverage, again.mean_length]) == _bits([first.coverage, first.mean_length])
+    with pytest.raises(DomainError):
+        exact_performance("arcsin", 4, 0.3, 1e-12)
+    assert len(calls) == 1
+    for kind, alpha in (("arcsine", 0.05), ("arcsin", 1.5)):
+        with pytest.raises(DomainError):
+            exact_performance(kind, 4, 0.3, alpha)
+    assert _outcome_table.cache_info().currsize == 1
+    _outcome_table.cache_clear()
 
 
 @st.composite
