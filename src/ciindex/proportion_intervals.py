@@ -13,22 +13,23 @@ which makes it the reference any simulated run can be checked against.
 The pmf comes from :mod:`ciindex.special`, through the kernel that
 ``scipy.stats.binom.pmf`` calls, so the oracle gives the same bytes as
 ``scipy.stats`` without importing it.
-The oracle's n + 1 intervals depend on (kind, n, alpha) alone: the first
-call at a key keeps them as a read-only table (the last 128 keys, at most
-about 20 MB); its pmf depends on (n, p) alone, and the last one is kept,
-read-only, so a sweep over the kinds at one (n, p) computes it once.  A
-proportion study scores only its drawn counts, in O(R) memory.  Both
-evaluate each formula once over an array of outcomes; the arcsine
-formulas alone go one outcome at a time, through :mod:`math`.
+The oracle and a proportion study share one scorer and one cache: each
+(kind, n, alpha) keeps the clipped endpoints of x = 0..n (the last 128
+keys, at most about 20 MB), filled only at the outcomes asked for, the
+oracle's of nonzero pmf or a study's drawn counts; above 10^4 trials a
+study is scored uncached, in O(R) memory.  The last (n, p) keeps its pmf.
 
-Boundary conventions keep every estimator total: a Beta quantile with a
-zero shape parameter is the corresponding endpoint (0 or 1), a chi-square
-quantile at 0 degrees of freedom is 0, arcsine arguments are clipped into
-[0, 1] before the square root, and square roots of negative
-continuity-correction discriminants are taken as 0.  Formulas whose
-half-width vanishes at x = 0 or x = n (Wald, the shifted Wald) return
-their literal degenerate interval; the poor coverage that results is a
-property of those estimators, not an error.
+Boundary conventions: a Beta quantile with a zero shape parameter is the
+corresponding endpoint (0 or 1), a chi-square quantile at 0 degrees of
+freedom is 0, arcsine arguments are clipped into [0, 1] before the square
+root, and square roots of negative continuity-correction discriminants
+are taken as 0.  Formulas whose half-width vanishes at x = 0 or x = n
+(Wald, the shifted Wald) return their literal degenerate interval; the
+poor coverage that results is a property of those estimators, not an
+error.  The arcsine intervals are not total: past pi / 2 the upper angle
+folds back and the interval inverts, raising :class:`DomainError`, at
+n = 1 for alpha from about 0.0017 down to 3e-10 (arcsin_cc: 1.2e-4 to
+1.4e-14) and at ever smaller alpha as n grows (ROADMAP item 14).
 """
 
 from __future__ import annotations
@@ -85,22 +86,20 @@ def _wald(n: int, x, alpha: float, z: float):
 
 
 def _arcsin_pair(g, h: float):
-    # asin, sin and the square through math, one element at a time:
-    # numpy's vector arcsin and square can differ from them in the last bit
-    t = [math.asin(math.sqrt(v)) for v in np.ravel(g).tolist()]
+    # g clipped into [0, 1], then asin, sin and the square through math, one
+    # element at a time: numpy's vector arcsin and square can differ in the last bit
+    t = [math.asin(math.sqrt(min(max(v, 0.0), 1.0))) for v in np.ravel(g).tolist()]
     lo = [math.sin(v - h) ** 2 for v in t]
     hi = [math.sin(v + h) ** 2 for v in t]
     return np.reshape(lo, np.shape(g)), np.reshape(hi, np.shape(g))
 
 
 def _arcsin(n: int, x, alpha: float, z: float):
-    g = np.minimum(np.maximum((x - 0.5) / n, 0.0), 1.0)
-    return _arcsin_pair(g, z / (2.0 * math.sqrt(n)))
+    return _arcsin_pair((x - 0.5) / n, z / (2.0 * math.sqrt(n)))
 
 
 def _arcsin_cc(n: int, x, alpha: float, z: float):
-    g = np.minimum(np.maximum((x - 0.125) / (n + 0.75), 0.0), 1.0)
-    return _arcsin_pair(g, z / (2.0 * math.sqrt(n + 0.5)))
+    return _arcsin_pair((x - 0.125) / (n + 0.75), z / (2.0 * math.sqrt(n + 0.5)))
 
 
 def _pois(n: int, x, alpha: float, z: float):
@@ -168,12 +167,18 @@ _FORMULAS = {
 PROPORTION_ESTIMATORS = tuple(_FORMULAS)
 
 
+def _probability(v, name: str) -> float:
+    _check_prob_open(v, name)
+    if isinstance(v, np.ndarray) and v.ndim:
+        raise DomainError(f"{name} must be a single number, got {v!r}")
+    return float(v)
+
+
 def _z(kind: str, alpha: float) -> float:
     # the checks and the normal quantile every interval of a sweep shares
     if kind not in _FORMULAS:
         raise DomainError(f"kind must be one of {PROPORTION_ESTIMATORS}, got {kind!r}")
-    _check_prob_open(alpha, "alpha")
-    return normal_quantile(1.0 - alpha / 2.0)
+    return normal_quantile(1.0 - _probability(alpha, "alpha") / 2.0)
 
 
 def _clipped(kind: str, n: int, x, alpha: float, z: float):
@@ -186,35 +191,39 @@ def proportion_interval(kind: str, obs: BinomialObservation, alpha: float) -> Co
     return _interval(*_clipped(kind, obs.n, obs.x, alpha, _z(kind, alpha)))
 
 
-def _tally(ci: ConfidenceInterval, p: float, weights) -> tuple[float, float]:
-    # running totals of w * [interval covers p] and w * length (cumsum, minus its wrapper)
-    covered = np.where(ci.contains(p), weights, 0.0)
-    return np.add.accumulate(covered)[-1], np.add.accumulate(weights * ci.length)[-1]
-
-
-def _weighted_outcomes(kind: str, n: int, p: float, alpha: float, x, weights) -> tuple[float, float]:
-    """Sums of ``w * [interval covers p]`` and ``w * length`` over outcomes ``x``.
-
-    ``x`` holds distinct counts in ascending order and ``weights`` their
-    weights; the formula is evaluated once over ``x``; an empty ``x`` gives (0, 0).
-    """
-    ci = ConfidenceInterval(*_clipped(kind, n, x, alpha, _z(kind, alpha)))
-    return _tally(ci, p, weights) if len(x) else (0.0, 0.0)
-
-
+# studies of more trials (up to 10^9) are scored uncached, in O(R) memory
+_CACHED_N = 10**4
 # about 11 estimators x 11 sample sizes; at most 128 x 2 x 10^4 floats, 20 MB
 _TABLES = 128
 
 
 @functools.lru_cache(maxsize=_TABLES)
-def _outcome_table(kind: str, n: int, alpha: float) -> ConfidenceInterval | tuple[np.ndarray, np.ndarray]:
-    # the intervals of every outcome x = 0..n, read-only; kind and alpha errors are
-    # not kept.  Endpoints inverted somewhere (arcsine at tiny alpha; NaN fails <=
-    # too) stay a bare (lower, upper) pair, and each call checks its nonzero pmf
-    lower, upper = _clipped(kind, n, np.arange(n + 1), alpha, _z(kind, alpha))
-    lower.setflags(write=False)
-    upper.setflags(write=False)
-    return ConfidenceInterval(lower, upper) if (lower <= upper).all() else (lower, upper)
+def _endpoints(kind: str, n: int, alpha: float) -> np.ndarray:
+    # (lower, upper) of x = 0..n, NaN until asked for; callers check kind and alpha
+    return np.full((2, n + 1), np.nan)
+
+
+def _weighted_outcomes(kind: str, n: int, p: float, alpha: float, x, weights) -> tuple[float, float]:
+    """Running totals of ``w * [interval covers p]`` and ``w * length`` over ``x``.
+
+    ``x`` holds distinct counts in ascending order, ``weights`` their weights;
+    an empty ``x`` gives (0, 0).  An inverted or non-finite outcome raises.
+    """
+    z = _z(kind, alpha)
+    if n > _CACHED_N:
+        lower, upper = _clipped(kind, n, x, alpha, z)
+    else:
+        ends = _endpoints(kind, n, float(alpha))
+        todo = x[np.isnan(ends[0].take(x))]
+        if len(todo):
+            ends[:, todo] = _clipped(kind, n, todo, alpha, z)
+        lower, upper = ends.take(x, axis=1)
+    if not (lower <= upper).all():  # NaN fails too; clipped ends are never infinite
+        ConfidenceInterval(lower, upper)  # raises, showing the endpoints
+    if not len(x):
+        return 0.0, 0.0
+    covered = np.where((lower <= p) & (p <= upper), weights, 0.0)
+    return np.add.accumulate(covered)[-1], np.add.accumulate(weights * (upper - lower))[-1]
 
 
 # a sweep over the kinds at one (n, p) shares one pmf: at most 80 KB
@@ -228,28 +237,15 @@ def _pmf(n: int, p: float) -> np.ndarray:
 def exact_performance(kind: str, n: int, p: float, alpha: float) -> IntervalPerformance:
     """Exact coverage and expected length under a Binomial(n, p) draw.
 
-    Sums the binomial pmf over all outcomes x = 0..n, so the result is
-    deterministic; intended as the reference for Monte Carlo runs.  The
-    first call at a (kind, n, alpha) evaluates all n + 1 intervals, those
-    of zero pmf included, into a read-only table that later p reuse; the
-    last (n, p) keeps its pmf for the next kind.  Where a table inverts, only
-    the outcomes of nonzero pmf are scored, and raise if any is inverted.
+    Sums the binomial pmf over the outcomes x = 0..n where it is nonzero
+    (the rest would add +0.0), so the result is deterministic; intended as
+    the reference for Monte Carlo runs.  Its endpoint cache is shared with
+    proportion studies; an inverted interval raises only at nonzero pmf.
     """
-    if not (isinstance(n, int) and 1 <= n <= 10**4):
+    if not (isinstance(n, int) and 1 <= n <= _CACHED_N):
         raise DomainError(f"n must be an integer in [1, 10^4], got {n!r}")
-    _check_prob_open(p)
-    try:
-        pmf = _pmf(n, p)
-    except TypeError:  # an unhashable p, such as a 0-d array
-        pmf = _binomial_pmf(n, p)
-    try:
-        table = _outcome_table(kind, n, alpha)
-    except TypeError:  # an unhashable key, such as a 0-d array alpha: not kept
-        table = _outcome_table.__wrapped__(kind, n, alpha)
-    if isinstance(table, ConfidenceInterval):
-        # outcomes of zero pmf add +0.0 to the running totals: no bit moves
-        coverage, length = _tally(table, p, pmf)
-    else:
-        x = np.flatnonzero(pmf)
-        coverage, length = _tally(ConfidenceInterval(table[0][x], table[1][x]), p, pmf[x])
+    p = _probability(p, "p")
+    pmf = _pmf(n, p)
+    x = np.flatnonzero(pmf)
+    coverage, length = _weighted_outcomes(kind, n, p, alpha, x, pmf[x])
     return IntervalPerformance(min(coverage, 1.0), length)

@@ -54,13 +54,16 @@ __all__ = [
 
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
     # P(X = x) for x = 0..n under Binomial(n, p), bit for bit
-    # scipy.stats.binom.pmf(np.arange(n + 1), n, p)
+    # scipy.stats.binom.pmf(np.arange(n + 1), n, p) wherever that returns
     x = np.arange(n + 1)
-    if _binom_pmf_kernel is None:
-        from scipy import stats
+    try:
+        if _binom_pmf_kernel is None:
+            from scipy import stats
 
-        return stats.binom.pmf(x, n, p)
-    return np.clip(_binom_pmf_kernel(x, n, p), 0.0, 1.0)
+            return stats.binom.pmf(x, n, p)
+        return np.clip(_binom_pmf_kernel(x, n, p), 0.0, 1.0)
+    except OverflowError:  # boost, for p near the smallest normal: p^2 underflows
+        return np.where(x == 0, 1.0, np.where(x == 1, n * p, 0.0))
 
 
 def _check_prob_open(p, name: str = "p") -> None:

@@ -100,15 +100,16 @@ def _exact_sweep(p: float):
 def test_proportion_sweeps_call_the_traced_quantiles():
     # the sweeps must reach the quantiles through the proportion_intervals
     # names the tracer wraps; a formula calling scipy.special directly
-    # would report those per-layer metrics as 0.  exact_performance keeps
-    # one table of intervals per (kind, n, alpha), so its cold call starts
-    # from an empty cache and a second p at the same n evaluates no formula
+    # would report those per-layer metrics as 0.  The study and the oracle
+    # share one endpoint cache per (kind, n, alpha): from an empty cache the
+    # study fills its drawn counts and the sweep the rest, and a second p at
+    # the same n evaluates no formula
     tracer = _load("tracer")
     plan = ciindex.SimulationPlan(
         model=ciindex.binomial_model(40, 0.3), n=40, N=1, B=1, R=200, alpha=ALPHA,
         estimators=ciindex.PROPORTION_ESTIMATORS, master_seed=20260815,
     )
-    ciindex.proportion_intervals._outcome_table.cache_clear()
+    ciindex.proportion_intervals._endpoints.cache_clear()
     for run in (lambda: ciindex.run_proportion_study(plan), _exact_sweep(0.3)):
         calls = _traced_calls(tracer, run)
         for span in PROPORTION_QUANTILES:

@@ -45,6 +45,7 @@ from ciindex.mean_intervals import (
     bootstrap_mean_draws,
     percentile_from_boot_means,
 )
+from ciindex.proportion_intervals import _endpoints
 
 MEAN_PLAN = SimulationPlan(
     model=normal_model(2.0, 1.0),
@@ -251,6 +252,7 @@ def test_proportion_study_memory_follows_R_not_n_trials():
         estimators=PROPORTION_ESTIMATORS,
         master_seed=77,
     )
+    cached = _endpoints.cache_info().currsize
     tracemalloc.start()
     try:
         run_proportion_study(plan)
@@ -258,6 +260,8 @@ def test_proportion_study_memory_follows_R_not_n_trials():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    # above 10^4 trials the counts are scored uncached
+    assert _endpoints.cache_info().currsize == cached
 
 
 def test_calibration_study_skip_all_identity():

@@ -18,10 +18,13 @@ from ciindex import (
     ConfidenceInterval,
     DomainError,
     SeedSpec,
+    SimulationPlan,
+    binomial_model,
     exact_performance,
     johnson_t_interval,
     normal_theory_interval,
     proportion_interval,
+    run_proportion_study,
 )
 from ciindex.calibration import _beta_from_lambdas, _lambdas, _row_sds, _upper_tail
 from ciindex.mean_intervals import (
@@ -30,7 +33,7 @@ from ciindex.mean_intervals import (
     percentile_from_boot_means,
 )
 from ciindex import proportion_intervals
-from ciindex.proportion_intervals import _TABLES, _outcome_table, _pmf, _weighted_outcomes
+from ciindex.proportion_intervals import _TABLES, _endpoints, _pmf, _weighted_outcomes
 from ciindex.special import _binomial_pmf, normal_cdf
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -203,17 +206,17 @@ def _exact_sweeps(draw):
     return n, alpha, draw(st.permutations([(kind, p) for kind in kinds for p in ps]))
 
 
-# the first call at a (kind, n, alpha) builds its table of intervals and
-# every later p reuses it; cold or warm, each result must be the running
-# totals of the scalar formulas over that p's pmf.  At n = 2 and alpha =
-# 1e-6 the arcsine table inverts at x = 1 and 2, so p = 0.3 raises while
-# p = 1e-310, whose pmf is zero there, does not
+# each call at a (kind, n, alpha) fills the endpoints of the outcomes its
+# pmf reaches and every later p reuses them; cold or warm, each result must
+# be the running totals of the scalar formulas over that p's pmf.  At n = 2
+# and alpha = 1e-6 the arcsine interval inverts at x = 1 and 2, so p = 0.3
+# raises while p = 1e-310, whose pmf is zero there, does not
 @PROPERTY
 @given(_exact_sweeps())
 @example((2, 1e-6, [("arcsin", 1e-310), ("arcsin", 0.3), ("arcsin", 1e-310)]))
 def test_exact_performance_equals_the_tally_of_scalar_formulas(case):
     n, alpha, calls = case
-    _outcome_table.cache_clear()
+    _endpoints.cache_clear()
     _pmf.cache_clear()
     for kind, p in calls:
         try:
@@ -226,14 +229,10 @@ def test_exact_performance_equals_the_tally_of_scalar_formulas(case):
         assert _bits([perf.coverage, perf.mean_length]) == _bits([min(cover, 1.0), length]), (kind, p)
 
 
-def test_outcome_tables_are_read_only_and_bounded():
-    table = _outcome_table("wilson", 10, 0.05)
-    for end in (table.lower, table.upper):
-        with pytest.raises(ValueError):
-            end[0] = 0.5
+def test_the_endpoint_cache_is_bounded():
     for n in range(1, _TABLES + 10):
-        _outcome_table("wald", n, 0.05)
-    info = _outcome_table.cache_info()
+        exact_performance("wald", n, 0.3, 0.05)
+    info = _endpoints.cache_info()
     assert info.maxsize == _TABLES
     assert info.currsize <= info.maxsize
 
@@ -265,8 +264,8 @@ def test_the_shared_pmf_is_read_only_and_equals_direct_calls():
         with pytest.raises(ValueError):
             pmf[0] = 0.5
         assert pmf.tobytes() == _binomial_pmf(n, p).tobytes(), (n, p)
-    # a 0-d array p or alpha is unhashable: it takes the uncached pmf or
-    # table, same bits
+    # a 0-d array p or alpha is unhashable: the caches key on its float,
+    # same bits
     with pytest.raises(TypeError):
         _pmf(40, np.array(0.3))
     for kind in PROPORTION_ESTIMATORS:
@@ -278,24 +277,63 @@ def test_the_shared_pmf_is_read_only_and_equals_direct_calls():
 
 def test_an_inverted_table_is_evaluated_once(monkeypatch):
     # at n = 4 and alpha = 1e-12 the arcsine interval inverts at x >= 1.
-    # The key keeps its endpoints, so a second call evaluates no formula
-    # and p = 0.3, whose pmf reaches the inverted outcomes, still raises;
-    # kind and alpha errors are not kept
+    # A call evaluates only the outcomes its key has not kept: p = 1e-310
+    # reaches x = 0 alone and p = 0.3 all five, and a repeated call
+    # evaluates no formula; p = 0.3 raises each time.  Kind and alpha errors
+    # are not kept
     calls = []
     monkeypatch.setitem(proportion_intervals._FORMULAS, "arcsin", _counted(calls, proportion_intervals._arcsin))
-    _outcome_table.cache_clear()
+    _endpoints.cache_clear()
     first = exact_performance("arcsin", 4, 1e-310, 1e-12)
-    assert len(calls) == 1
     again = exact_performance("arcsin", 4, 1e-310, 1e-12)
     assert _bits([again.coverage, again.mean_length]) == _bits([first.coverage, first.mean_length])
-    with pytest.raises(DomainError):
-        exact_performance("arcsin", 4, 0.3, 1e-12)
-    assert len(calls) == 1
+    for _ in range(2):
+        with pytest.raises(DomainError, match="exceeds upper"):
+            exact_performance("arcsin", 4, 0.3, 1e-12)
+    assert [args[1].tolist() for args in calls] == [[0], [1, 2, 3, 4]]
     for kind, alpha in (("arcsine", 0.05), ("arcsin", 1.5)):
         with pytest.raises(DomainError):
             exact_performance(kind, 4, 0.3, alpha)
-    assert _outcome_table.cache_info().currsize == 1
-    _outcome_table.cache_clear()
+    assert _endpoints.cache_info().currsize == 1
+    _endpoints.cache_clear()
+
+
+def _count_formula_calls(monkeypatch) -> dict:
+    # the outcomes each formula is evaluated over, by kind
+    calls = {kind: [] for kind in PROPORTION_ESTIMATORS}
+    for kind, formula in proportion_intervals._FORMULAS.items():
+        monkeypatch.setitem(proportion_intervals._FORMULAS, kind, _counted(calls[kind], formula))
+    return calls
+
+
+def test_a_cold_oracle_call_evaluates_only_the_outcomes_of_nonzero_pmf(monkeypatch):
+    # at n = 10^4 and p = 0.02 the pmf underflows to zero at all but 939
+    # of the 10001 outcomes; those tails would add +0.0 and are never
+    # evaluated
+    nonzero = np.flatnonzero(_binomial_pmf(10**4, 0.02))
+    assert len(nonzero) == 939
+    calls = _count_formula_calls(monkeypatch)
+    _endpoints.cache_clear()
+    for kind in PROPORTION_ESTIMATORS:
+        exact_performance(kind, 10**4, 0.02, 0.05)
+        assert [args[1].tolist() for args in calls[kind]] == [nonzero.tolist()], kind
+    _endpoints.cache_clear()
+
+
+def test_a_study_after_an_oracle_sweep_evaluates_no_formula(monkeypatch):
+    # the oracle and the study share one endpoint cache: a sweep at
+    # (40, 0.3, 0.05) fills every outcome a study of 40 trials can draw
+    _endpoints.cache_clear()
+    for kind in PROPORTION_ESTIMATORS:
+        exact_performance(kind, 40, 0.3, 0.05)
+    calls = _count_formula_calls(monkeypatch)
+    plan = SimulationPlan(
+        model=binomial_model(40, 0.3), n=40, N=1, B=1, R=200, alpha=0.05,
+        estimators=PROPORTION_ESTIMATORS, master_seed=20260815,
+    )
+    run_proportion_study(plan)
+    assert not any(calls.values()), calls
+    _endpoints.cache_clear()
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ciindex import (
@@ -176,3 +177,7 @@ def test_observation_validation():
         proportion_interval("median_p", BinomialObservation(10, 5), 0.05)
     with pytest.raises(DomainError):
         exact_performance("wald", 10, 1.5, 0.05)
+    # a p or alpha of several values inside (0, 1) is not one probability
+    for p, alpha in ((np.array([0.3, 0.4]), 0.05), (0.3, np.array([0.05, 0.1]))):
+        with pytest.raises(DomainError, match="must be a single number"):
+            exact_performance("wald", 10, p, alpha)

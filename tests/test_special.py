@@ -199,3 +199,16 @@ def test_binomial_pmf_fallback_gives_the_same_bytes(monkeypatch):
     monkeypatch.setattr(special, "_binom_pmf_kernel", None)
     for (n, p), want in kernel.items():
         assert _binomial_pmf(n, p).tobytes() == want, (n, p)
+
+
+def test_binomial_pmf_where_the_kernel_overflows(monkeypatch):
+    # for p near the smallest normal double (about 5.6e-309 to 5.2e-305 at
+    # n <= 10^4) boost's ibeta_derivative overflows and
+    # scipy.stats.binom.pmf raises OverflowError; p^2 underflows there, so
+    # the pmf is 1, n p, then zeros on either path
+    for kernel in (special._binom_pmf_kernel, None):
+        monkeypatch.setattr(special, "_binom_pmf_kernel", kernel)
+        for n, p in ((1, 6e-309), (4, 2.2250738585072014e-308), (40, 1e-307), (10**4, 5e-305)):
+            want = np.zeros(n + 1)
+            want[:2] = 1.0, n * p
+            assert _binomial_pmf(n, p).tobytes() == want.tobytes(), (kernel, n, p)
