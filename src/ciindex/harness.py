@@ -191,29 +191,37 @@ class CalibrationStudy:
     mean_beta: np.ndarray
 
 
-def summarize_index(coverage, mean_length, index) -> IndexSummary:
-    """Summary of one estimator's R results, given as three ``(R,)`` columns.
+def summarize_index(coverage, mean_length, index) -> tuple[IndexSummary, ...]:
+    """Summary of every estimator's R results, given as three ``(R, E)`` tables.
 
-    The mean coverage and mean length, then the index values' mean,
-    sample st.dev, moment skewness and excess kurtosis.  Central moments
-    use the 1/n convention; the standard deviation uses the n-1
-    denominator.  Fewer than 3 results, or zero index variance, give NaN
-    shape statistics; a single result also gives a NaN standard deviation.
+    One :class:`IndexSummary` per column, each statistic with the bits of
+    ``np.mean`` or ``np.std(ddof=1)`` on that column alone: the mean
+    coverage and mean length, then the index values' mean, sample st.dev,
+    moment skewness and excess kurtosis.  Central moments use the 1/n
+    convention; the standard deviation uses the n-1 denominator.  Fewer
+    than 3 results, or zero index variance, give NaN shape statistics; a
+    single result also gives a NaN standard deviation.
     """
-    data = np.asarray(index, dtype=float)
-    if not data.size:
+    # columns as C-contiguous rows, each summed pairwise on its own; a sum over
+    # axis 0 of the (R, E) tables adds rows in turn, other bits once R > 8
+    cov, length, data = (np.ascontiguousarray(np.asarray(t, dtype=float).T) for t in (coverage, mean_length, index))
+    R = data.shape[1]
+    if not R:
         raise InsufficientDataError("need at least one result to summarize")
-    coverage = float(np.mean(coverage))
-    mean_length = float(np.mean(mean_length))
-    mean = float(data.mean())
-    st_dev = float(data.std(ddof=1)) if data.size > 1 else math.nan
-    centered = data - mean
-    m2 = float(np.mean(centered**2))
-    if data.size < 3 or m2 == 0.0:
-        return IndexSummary(coverage, mean_length, mean, math.nan, math.nan, st_dev)
-    g1 = float(np.mean(centered**3)) / m2**1.5
-    g2 = float(np.mean(centered**4)) / m2**2 - 3.0
-    return IndexSummary(coverage, mean_length, mean, g1, g2, st_dev)
+
+    def mean(t):
+        return (np.add.reduce(t, axis=1) / R).tolist()
+
+    means = mean(data)
+    centered = data - np.array(means)[:, None]
+    squares = np.add.reduce(centered**2, axis=1)
+    st_devs = np.sqrt(squares / (R - 1)).tolist() if R > 1 else [math.nan] * len(means)
+    moments = zip((squares / R).tolist(), mean(centered**3), mean(centered**4))
+    summaries = []
+    for c, ell, mu, sd, (m2, m3, m4) in zip(mean(cov), mean(length), means, st_devs, moments):
+        shape = (m3 / m2**1.5, m4 / m2**2 - 3.0) if R >= 3 and m2 != 0.0 else (math.nan, math.nan)
+        summaries.append(IndexSummary(c, ell, mu, *shape, sd))
+    return tuple(summaries)
 
 
 # each estimator issued over one block's shared record through its public
@@ -321,11 +329,10 @@ def _map_replications(fn, R: int, n_workers: int) -> list:
 
 
 def _results(plan: SimulationPlan, coverage: np.ndarray, length: np.ndarray) -> StudyResults:
-    # the (R, E) arrays scored with one index call, then one summary per
-    # column (through the module name, so a wrapper on it sees each call)
+    # the (R, E) arrays scored with one index call and summarized with one
+    # summary call (through the module name, so a wrapper on it sees it)
     index = compute_index_array(coverage, length, plan.index_config)
-    summaries = tuple(map(summarize_index, coverage.T, length.T, index.T))
-    return StudyResults(plan.estimators, coverage, length, index, summaries)
+    return StudyResults(plan.estimators, coverage, length, index, summarize_index(coverage, length, index))
 
 
 def run_mean_study(plan: SimulationPlan, *, n_workers: int = 1) -> StudyResults:

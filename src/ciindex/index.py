@@ -92,9 +92,9 @@ def compute_index(perf: IntervalPerformance, cfg: IndexConfig) -> float:
 
     Total on its domain: any coverage in [0, 1] and any nonnegative
     length produce a finite value.  The one-pair case of
-    :func:`compute_index_array`.
+    :func:`compute_index_array`, evaluated on plain numbers.
     """
-    return float(compute_index_array(perf.coverage, perf.mean_length, cfg))
+    return float(_index(perf.coverage, perf.mean_length, cfg))
 
 
 def compute_index_array(coverage, mean_length, cfg: IndexConfig):
@@ -111,8 +111,13 @@ def compute_index_array(coverage, mean_length, cfg: IndexConfig):
         raise DomainError("coverage values must lie in [0, 1]")
     if not np.all(np.isfinite(length) & (length >= 0.0)):
         raise DomainError("mean_length values must be finite and >= 0")
+    return _index(eta, length, cfg)
+
+
+def _index(eta, length, cfg: IndexConfig):
+    # on checked numbers or arrays alike: the same IEEE operations
     dev = 1.0 - cfg.alpha - eta
-    h = np.abs(dev) if cfg.loss == "absolute" else dev * dev
+    h = abs(dev) if cfg.loss == "absolute" else dev * dev
     value = k_alpha(cfg.alpha) * (1.0 - 0.5 * (1.0 + h) / (1.0 + eta / (1.0 + length)))
     return rescale_index(value, cfg) if cfg.rescaled else value
 

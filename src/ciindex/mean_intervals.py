@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError
 from .sampling import SeedSpec, bootstrap_resamples
-from .special import _check_prob_open, normal_cdf, normal_quantile, student_t_quantile
+from .special import _check_prob_open, _upper_level, normal_cdf, normal_quantile, student_t_quantile
 
 __all__ = [
     "ConfidenceInterval",
@@ -201,7 +201,7 @@ def normal_theory_interval(sample, alpha: float | np.ndarray, *, _stats=None) ->
     values = _as_block(sample, 2)
     _check_levels(alpha, values)
     s = _stats or _BlockStats(values)
-    half = normal_quantile(1.0 - alpha / 2.0) * s.sd / math.sqrt(values.shape[-1])
+    half = normal_quantile(_upper_level(alpha)) * s.sd / math.sqrt(values.shape[-1])
     return _interval(s.mean - half, s.mean + half)
 
 
@@ -222,7 +222,7 @@ def johnson_t_interval(sample, alpha: float | np.ndarray, *, _stats=None) -> Con
     n = values.shape[-1]
     # stdtrit is elementwise, so one evaluation per distinct level gives
     # the bits of one per entry: a (2, m) stack costs m + 1, not 2m
-    levels, at = np.unique(np.ravel(1.0 - alpha / 2.0), return_inverse=True)
+    levels, at = np.unique(np.ravel(_upper_level(alpha)), return_inverse=True)
     t = student_t_quantile(levels, n - 1)[at].reshape(np.shape(alpha))
     center = s.mean + s.sd * s.skew * (1.0 + 2.0 * t * t) / (6.0 * n)
     half = t * s.sd / math.sqrt(n)
@@ -283,8 +283,8 @@ def bca_from_boot_means(sample, boot_means, alpha: float | np.ndarray, *, _stats
     _check_levels(alpha, values)
     s = _stats or _BlockStats(values, means)
     z0, a = s.z0, s.accel
+    z_hi = normal_quantile(_upper_level(alpha))
     z_lo = normal_quantile(alpha / 2.0)
-    z_hi = normal_quantile(1.0 - alpha / 2.0)
     a1 = normal_cdf(z0 + (z0 + z_lo) / (1.0 - a * (z0 + z_lo)))
     a2 = normal_cdf(z0 + (z0 + z_hi) / (1.0 - a * (z0 + z_hi)))
     lo = _order_statistic(s.sorted_means, a1)

@@ -17,7 +17,8 @@ The oracle and a proportion study share one scorer and one cache: each
 (kind, n, alpha) keeps the clipped endpoints of x = 0..n (the last 128
 keys, at most about 20 MB), filled only at the outcomes asked for, the
 oracle's of nonzero pmf or a study's drawn counts; above 10^4 trials a
-study is scored uncached, in O(R) memory.  The last (n, p) keeps its pmf.
+study is scored uncached, in O(R) memory.  The last (n, p) keeps the
+outcomes of nonzero pmf and their weights.
 
 Boundary conventions: a Beta quantile with a zero shape parameter is the
 corresponding endpoint (0 or 1), a chi-square quantile at 0 degrees of
@@ -46,6 +47,7 @@ from .mean_intervals import ConfidenceInterval, _interval
 from .special import (
     _binomial_pmf,
     _check_prob_open,
+    _upper_level,
     beta_quantile,
     chi_square_quantile,
     normal_quantile,
@@ -178,7 +180,7 @@ def _z(kind: str, alpha: float) -> float:
     # the checks and the normal quantile every interval of a sweep shares
     if kind not in _FORMULAS:
         raise DomainError(f"kind must be one of {PROPORTION_ESTIMATORS}, got {kind!r}")
-    return normal_quantile(1.0 - _probability(alpha, "alpha") / 2.0)
+    return normal_quantile(_upper_level(_probability(alpha, "alpha")))
 
 
 def _clipped(kind: str, n: int, x, alpha: float, z: float):
@@ -226,12 +228,16 @@ def _weighted_outcomes(kind: str, n: int, p: float, alpha: float, x, weights) ->
     return np.add.accumulate(covered)[-1], np.add.accumulate(weights * (upper - lower))[-1]
 
 
-# a sweep over the kinds at one (n, p) shares one pmf: at most 80 KB
+# a sweep over the kinds at one (n, p) shares one pmf, kept as its nonzero
+# outcomes and their weights: at most 160 KB
 @functools.lru_cache(maxsize=1)
-def _pmf(n: int, p: float) -> np.ndarray:
+def _pmf(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     pmf = _binomial_pmf(n, p)
-    pmf.setflags(write=False)
-    return pmf
+    x = np.flatnonzero(pmf)
+    support = (x, pmf[x])
+    for a in support:
+        a.setflags(write=False)
+    return support
 
 
 def exact_performance(kind: str, n: int, p: float, alpha: float) -> IntervalPerformance:
@@ -245,7 +251,5 @@ def exact_performance(kind: str, n: int, p: float, alpha: float) -> IntervalPerf
     if not (isinstance(n, int) and 1 <= n <= _CACHED_N):
         raise DomainError(f"n must be an integer in [1, 10^4], got {n!r}")
     p = _probability(p, "p")
-    pmf = _pmf(n, p)
-    x = np.flatnonzero(pmf)
-    coverage, length = _weighted_outcomes(kind, n, p, alpha, x, pmf[x])
+    coverage, length = _weighted_outcomes(kind, n, p, alpha, *_pmf(n, p))
     return IntervalPerformance(min(coverage, 1.0), length)

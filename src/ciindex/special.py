@@ -77,6 +77,15 @@ def _check_prob_open(p, name: str = "p") -> None:
         raise DomainError(f"{name} must lie strictly between 0 and 1, got {p!r}")
 
 
+def _upper_level(alpha):
+    # 1 - alpha/2, the level of a two-sided interval's upper quantile, for a
+    # checked alpha or array of them; below about 1.1e-16 it rounds to 1
+    level = 1.0 - alpha / 2.0
+    if (level if isinstance(level, float) else level.max()) >= 1.0:
+        raise DomainError(f"alpha must be large enough that 1 - alpha/2 < 1, got {alpha!r}")
+    return level
+
+
 def normal_cdf(x):
     """Standard normal distribution function Phi(x), elementwise over an array.
 

@@ -78,10 +78,10 @@ def _study_means(coverage, length):
 
 
 def _columns(indexes):
-    # summarize_index takes one estimator's three (R,) columns; only the
-    # index varies
-    index = np.array(indexes, dtype=float)
-    return np.full(index.size, 0.95), np.ones(index.size), index
+    # summarize_index takes three (R, E) tables; here one estimator's
+    # (R, 1) tables, of which only the index varies
+    index = np.array(indexes, dtype=float)[:, None]
+    return np.full(index.shape, 0.95), np.ones(index.shape), index
 
 
 def _assert_same_results(a, b):
@@ -92,7 +92,7 @@ def _assert_same_results(a, b):
 
 
 def test_summarize_index_symmetric_triple():
-    s = summarize_index(*_columns([-1.0, 0.0, 1.0]))
+    (s,) = summarize_index(*_columns([-1.0, 0.0, 1.0]))
     assert s.mean == 0.0
     assert s.st_dev == 1.0
     assert s.skewness == 0.0
@@ -100,7 +100,7 @@ def test_summarize_index_symmetric_triple():
 
 
 def test_summarize_index_constant_values():
-    s = summarize_index(*_columns([2.0, 2.0, 2.0, 2.0]))
+    (s,) = summarize_index(*_columns([2.0, 2.0, 2.0, 2.0]))
     assert s.st_dev == 0.0
     assert math.isnan(s.skewness) and math.isnan(s.kurtosis)
     assert s.mean == 2.0
@@ -111,10 +111,10 @@ def test_summarize_index_short_inputs():
     # undefined below 3 values, and the standard deviation for 1
     with pytest.raises(InsufficientDataError):
         summarize_index(*_columns([]))
-    one = summarize_index(*_columns([0.3]))
+    (one,) = summarize_index(*_columns([0.3]))
     assert one.mean == 0.3
     assert math.isnan(one.st_dev) and math.isnan(one.skewness) and math.isnan(one.kurtosis)
-    two = summarize_index(*_columns([0.1, 0.2]))
+    (two,) = summarize_index(*_columns([0.1, 0.2]))
     assert two.mean == float(np.mean([0.1, 0.2]))
     assert two.st_dev == float(np.std([0.1, 0.2], ddof=1))
     assert math.isnan(two.skewness) and math.isnan(two.kurtosis)
@@ -544,7 +544,7 @@ def _reference_results(plan, reps, level, j):
         compute_index(IntervalPerformance(c, ell), plan.index_config)
         for c, ell in zip(coverage, length)
     ]
-    summary = summarize_index(np.array(coverage), np.array(length), np.array(index))
+    (summary,) = summarize_index(*(np.array(column)[:, None] for column in (coverage, length, index)))
     # the summary's means, checked here and not only through summarize_index
     _assert_same(summary.coverage, float(np.mean(coverage)))
     _assert_same(summary.mean_length, float(np.mean(length)))

@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 from ciindex import (
+    BinomialObservation,
     ConfidenceInterval,
     DomainError,
     InsufficientDataError,
     SeedSpec,
     bca_interval,
     bootstrap_percentile_interval,
+    exact_performance,
     johnson_t_interval,
     normal_theory_interval,
+    proportion_interval,
 )
 from ciindex.mean_intervals import (
     bca_from_boot_means,
@@ -187,6 +190,24 @@ def test_alpha_validation():
         bootstrap_percentile_interval(FIVE, 1.0, 50, SeedSpec(1))
     with pytest.raises(DomainError):
         bootstrap_mean_draws(FIVE, 0, SeedSpec(1))
+
+
+def test_an_alpha_too_small_for_an_upper_quantile_is_named():
+    # 1 - alpha/2 rounds to 1 below about 1.1e-16: the estimators that take
+    # a z or t quantile there name alpha, not the rounded probability
+    alpha = 1e-17
+    for call in (
+        lambda: normal_theory_interval(FIVE, alpha),
+        lambda: johnson_t_interval(FIVE, alpha),
+        lambda: bca_interval(FIVE, alpha, 50, SeedSpec(1)),
+        lambda: proportion_interval("wilson", BinomialObservation(10, 3), alpha),
+        lambda: exact_performance("exact", 10, 0.3, alpha),
+    ):
+        with pytest.raises(DomainError, match="^alpha must be large enough"):
+            call()
+    # the percentile interval takes order statistics, not a quantile
+    ci = bootstrap_percentile_interval(FIVE, alpha, 50, SeedSpec(1))
+    assert ci.lower <= ci.upper
 
 
 @pytest.mark.parametrize(

@@ -17,14 +17,20 @@ from ciindex import (
     BinomialObservation,
     ConfidenceInterval,
     DomainError,
+    IndexConfig,
+    IndexSummary,
+    IntervalPerformance,
     SeedSpec,
     SimulationPlan,
     binomial_model,
+    compute_index,
+    compute_index_array,
     exact_performance,
     johnson_t_interval,
     normal_theory_interval,
     proportion_interval,
     run_proportion_study,
+    summarize_index,
 )
 from ciindex.calibration import _beta_from_lambdas, _lambdas, _row_sds, _upper_tail
 from ciindex.mean_intervals import (
@@ -258,12 +264,16 @@ def test_a_sweep_over_the_kinds_builds_one_pmf(monkeypatch):
 
 
 def test_the_shared_pmf_is_read_only_and_equals_direct_calls():
+    # the cache keeps the nonzero outcomes of the pmf and their weights
     _pmf.cache_clear()
-    for n, p in ((40, 0.3), (150, 0.02), (40, 0.3)):
-        pmf = _pmf(n, p)
-        with pytest.raises(ValueError):
-            pmf[0] = 0.5
-        assert pmf.tobytes() == _binomial_pmf(n, p).tobytes(), (n, p)
+    for n, p in ((40, 0.3), (150, 0.02), (40, 0.3), (40, 1e-310)):
+        x, weights = _pmf(n, p)
+        for kept in (x, weights):
+            with pytest.raises(ValueError):
+                kept[0] = 0
+        pmf = _binomial_pmf(n, p)
+        assert x.tobytes() == np.flatnonzero(pmf).tobytes(), (n, p)
+        assert weights.tobytes() == pmf[np.flatnonzero(pmf)].tobytes(), (n, p)
     # a 0-d array p or alpha is unhashable: the caches key on its float,
     # same bits
     with pytest.raises(TypeError):
@@ -473,3 +483,69 @@ def test_beta_equals_the_alpha_quantile_of_all_lambdas(case, which):
     abs_t = _lambdas(values, means, sds)
     assert _bits(_beta_from_lambdas(abs_t, alpha)) == _bits(want)
     assert _bits(_upper_tail(abs_t)) == _bits(lambdas)
+
+
+def _column_summaries(coverage, length, index):
+    # the reference: np.mean, np.std(ddof=1) and the 1/n central moments
+    # np.mean(centered**k) applied to each column of the (R, E) tables alone
+    summaries = []
+    for c, ell, data in zip(coverage.T, length.T, index.T):
+        mean = float(np.mean(data))
+        st_dev = float(np.std(data, ddof=1)) if data.size > 1 else math.nan
+        centered = data - mean
+        m2 = float(np.mean(centered**2))
+        shape = (math.nan, math.nan)
+        if data.size >= 3 and m2 != 0.0:
+            shape = (float(np.mean(centered**3)) / m2**1.5, float(np.mean(centered**4)) / m2**2 - 3.0)
+        summaries.append(IndexSummary(float(np.mean(c)), float(np.mean(ell)), mean, *shape, st_dev))
+    return tuple(summaries)
+
+
+# numpy sums a row pairwise: in blocks of 8 up to 128 values, then by
+# halves, and a reduction buffers 8192 values at a time
+_BOUNDARIES = [1, 2, 3, 4, 7, 8, 9, 16, 17, 127, 128, 129, 255, 256, 257, 1000]
+
+
+@PROPERTY
+@given(
+    st.sampled_from(_BOUNDARIES) | st.integers(1, 600),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+@example(9, 3, 0, True)
+@example(129, 3, 1, True)
+@example(8193, 3, 2, True)
+def test_one_summary_call_equals_the_column_by_column_summaries(R, E, seed, constant):
+    rng = np.random.default_rng(seed)
+    coverage = rng.integers(0, 1001, (R, E)) / 1000
+    length = rng.exponential(2.0, (R, E))
+    index = rng.normal(0.8, 0.05, (R, E))
+    if constant:
+        index[:, 0] = 0.9
+    assert repr(summarize_index(coverage, length, index)) == repr(_column_summaries(coverage, length, index))
+
+
+_UNIT = st.floats(0.0, 1.0)
+_LENGTH = st.floats(0.0, 1e9)
+
+
+@PROPERTY
+@given(
+    _UNIT | _UNIT.map(np.float64) | st.integers(0, 1),
+    _LENGTH | _LENGTH.map(np.float64) | st.integers(0, 10**9),
+    st.floats(1e-6, 0.999),
+    st.sampled_from(["absolute", "squared"]),
+    st.booleans(),
+)
+def test_the_scalar_index_equals_the_array_index(coverage, length, alpha, loss, rescaled):
+    cfg = IndexConfig(alpha, loss, rescaled)
+    try:
+        want = compute_index_array(coverage, length, cfg)
+    except DomainError:
+        with pytest.raises(DomainError):
+            compute_index(IntervalPerformance(coverage, length), cfg)
+        return
+    got = compute_index(IntervalPerformance(coverage, length), cfg)
+    assert type(got) is float
+    assert _bits(got) == _bits(want)
