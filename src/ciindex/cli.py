@@ -15,19 +15,20 @@ its outputs.  Index values in CSVs are computed from the 6-dp-rounded
 coverage and length actually written, which makes re-ingesting a study
 CSV through ``apply`` reproduce the index column exactly.
 
-Exit codes: 0 success, 2 validation failure (config, flags, or input
-rows), 3 runtime failure (I/O and anything unexpected).
+Exit codes: 0 success, 2 validation failure (a config or input file that
+is missing, not UTF-8 or invalid, bad flags, or bad input rows), 3
+runtime failure (other I/O errors and anything unexpected).
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import csv
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
@@ -135,19 +136,50 @@ def apply_index(rows: list[ExternalPerformanceRow], cfg: IndexConfig) -> list[Re
     ]
 
 
+# ---------------------------------------------------------------- files
+
+
+def _read_text(path: Path, what: str) -> tuple[str, bytes]:
+    """A ``what`` file's UTF-8 text, a byte-order mark dropped, and its bytes, read once.
+
+    Iterate the text through ``io.StringIO(text, newline=None)``: it ends
+    lines at "\\r\\n", "\\r" and "\\n" as a text-mode file does, and nowhere
+    else (``str.splitlines`` also ends them at "\\x85", "\\u2028" and more).
+    """
+    try:
+        data = path.read_bytes()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise ConfigError(f"{what} file not found: {path}") from exc
+    try:
+        # as the utf-8-sig codec decodes, but an error's position counts the mark
+        return data.decode("utf-8").removeprefix("\ufeff"), data
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} file {path} is not UTF-8: {exc}") from exc
+
+
+def _write_text(path: Path, text: str) -> None:
+    # write a sibling temporary file and move it onto path once complete,
+    # so a failed write leaves neither a partial output nor the temporary
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # ---------------------------------------------------------------- config
 
 
 def _load_config(path: Path) -> configparser.ConfigParser:
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+    text, _data = _read_text(path, "config")
     parser = configparser.ConfigParser(interpolation=None)
     # keys are case sensitive so that [study] n and N can coexist
     parser.optionxform = str
     try:
-        # utf-8-sig: a leading byte-order mark is dropped, not read as text
-        with open(path, encoding="utf-8-sig") as handle:
-            parser.read_file(handle)
+        parser.read_file(io.StringIO(text, newline=None), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"config parse failure: {exc}") from exc
     for section in parser.sections():
@@ -180,7 +212,7 @@ def _get_typed(parser, section, key, kind, default=None):
 class _Effective:
     mode: str
     out_dir: Path
-    config_dir: Path
+    config_path: Path
     seed: int | None
     index: IndexConfig
     scale: str
@@ -205,15 +237,8 @@ def _effective(args: argparse.Namespace) -> _Effective:
     scale = args.scale if args.scale is not None else parser.get("run", "scale", fallback="desk")
     if scale not in _SCALES:
         raise ConfigError(f"scale must be one of {sorted(_SCALES)}, got {scale!r}")
-    return _Effective(
-        mode=args.command,
-        out_dir=Path(args.out),
-        config_dir=config_path.resolve().parent,
-        seed=seed,
-        index=index,
-        scale=scale,
-        parser=parser,
-    )
+    return _Effective(mode=args.command, out_dir=Path(args.out), config_path=config_path,
+                      seed=seed, index=index, scale=scale, parser=parser)
 
 
 def _build_model(parser: configparser.ConfigParser) -> DataModel:
@@ -298,33 +323,26 @@ def _quantized_triple(coverage: float, length: float, cfg: IndexConfig) -> tuple
     return _fmt(cov_q), _fmt(len_q), _fmt(idx)
 
 
-@contextlib.contextmanager
-def _atomic_open(path: Path, **kwargs):
-    # write a sibling temporary file and move it onto path once complete,
-    # so a failed write leaves neither a partial output nor the temporary
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "w", **kwargs) as handle:
-            yield handle
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _write_csv(path: Path, comments: list[str], header: list[str], rows: list[list[str]]) -> None:
-    with _atomic_open(path, newline="", encoding="utf-8") as handle:
-        for line in comments:
-            handle.write(f"# {line}\n")
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write the "# " comment lines, then the CSV rows, as one whole file.
+
+    Comment lines end in "\\n" and rows in "\\r\\n", on every platform.
+    """
+    buffer = io.StringIO(newline="")
+    for line in comments:
+        buffer.write(f"# {line}\n")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(path, buffer.getvalue())
 
 
 def _write_metadata(out_dir: Path, echo: dict, extra: dict | None = None) -> list[str]:
     """Write ``run_metadata.json`` for ``echo``; returns the CSV comment lines.
 
-    The comment carries the echo's hash, after its master seed in the
-    seeded (study) modes.
+    The record is sorted, indented JSON whose lines end in "\\n" on every
+    platform.  The comment carries the echo's hash, after its master seed
+    in the seeded (study) modes.
     """
     plan_hash = hashlib.sha256(json.dumps(echo, sort_keys=True).encode("utf-8")).hexdigest()
     record = {
@@ -339,9 +357,7 @@ def _write_metadata(out_dir: Path, echo: dict, extra: dict | None = None) -> lis
     }
     if extra:
         record.update(extra)
-    with _atomic_open(out_dir / "run_metadata.json", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_text(out_dir / "run_metadata.json", json.dumps(record, indent=2, sort_keys=True) + "\n")
     if "master_seed" not in echo:
         return [f"plan_sha256={plan_hash}"]
     return [f"master_seed={echo['master_seed']} plan_sha256={plan_hash}"]
@@ -378,26 +394,11 @@ def _run_simulate_mean(eff: _Effective) -> None:
             rep_rows.append([e, str(r), *_quantized_triple(c, ell, eff.index)])
         # IndexSummary's fields are in summary.csv column order
         sum_rows.append([e, *map(_fmt, dataclasses.astuple(summary))])
-    _write_csv(
-        eff.out_dir / "replications.csv",
-        comments,
-        ["estimator", "replication", "coverage", "length", "index"],
-        rep_rows,
-    )
-    _write_csv(
-        eff.out_dir / "summary.csv",
-        comments,
-        [
-            "estimator",
-            "coverage",
-            "length",
-            "index_mean",
-            "index_skewness",
-            "index_kurtosis",
-            "index_st_dev",
-        ],
-        sum_rows,
-    )
+    _write_csv(eff.out_dir / "replications.csv", comments,
+               ["estimator", "replication", "coverage", "length", "index"], rep_rows)
+    _write_csv(eff.out_dir / "summary.csv", comments,
+               ["estimator", "coverage", "length", "index_mean", "index_skewness",
+                "index_kurtosis", "index_st_dev"], sum_rows)
 
 
 def _run_simulate_proportion(eff: _Effective) -> None:
@@ -435,12 +436,9 @@ def _run_calibrate(eff: _Effective) -> None:
                     _fmt(mean_beta),
                 ]
             )
-    _write_csv(
-        eff.out_dir / "calibration.csv",
-        comments,
-        ["estimator", "variant", "coverage", "length", "index", "skipped", "mean_beta"],
-        rows,
-    )
+    _write_csv(eff.out_dir / "calibration.csv", comments,
+               ["estimator", "variant", "coverage", "length", "index", "skipped", "mean_beta"],
+               rows)
 
 
 def _input_path(eff: _Effective, section: str) -> Path:
@@ -450,32 +448,31 @@ def _input_path(eff: _Effective, section: str) -> Path:
     if not raw:
         raise ConfigError(f"[{section}] input is required")
     path = Path(raw)
-    return path if path.is_absolute() else eff.config_dir / path
+    return path if path.is_absolute() else eff.config_path.resolve().parent / path
 
 
-def _read_performance_csv(path: Path) -> tuple[list[str], list[ExternalPerformanceRow]]:
-    """Parse an apply-mode input: estimator, group columns, coverage, length.
+def _read_performance_csv(text: str, name: str) -> tuple[list[str], list[ExternalPerformanceRow]]:
+    """Parse the text of an apply-mode input: estimator, group columns, coverage, length.
 
-    Comment lines starting with '#' are skipped; columns after 'length'
-    are ignored so scored report files re-ingest cleanly.
+    Lines split as a text-mode file splits them.  Comment lines starting
+    with '#' are skipped; columns after 'length' are ignored so scored
+    report files re-ingest cleanly.  Errors name the file as ``name``.
     """
-    if not path.is_file():
-        raise ConfigError(f"input file not found: {path}")
-    with open(path, encoding="utf-8-sig") as handle:
-        reader = csv.reader(line for line in handle if not line.startswith("#"))
-        table = [row for row in reader if row]
+    lines = io.StringIO(text, newline=None)
+    reader = csv.reader(line for line in lines if not line.startswith("#"))
+    table = [row for row in reader if row]
     if not table:
-        raise ConfigError(f"{path.name}: no header row")
+        raise ConfigError(f"{name}: no header row")
     header = [cell.strip() for cell in table[0]]
     if not header or header[0] != "estimator":
-        raise ConfigError(f"{path.name}: first column must be 'estimator', got {header[:1]!r}")
+        raise ConfigError(f"{name}: first column must be 'estimator', got {header[:1]!r}")
     if "coverage" not in header or "length" not in header:
-        raise ConfigError(f"{path.name}: header needs 'coverage' and 'length' columns")
+        raise ConfigError(f"{name}: header needs 'coverage' and 'length' columns")
     cov_at = header.index("coverage")
     len_at = header.index("length")
     if len_at != cov_at + 1 or cov_at < 1:
         raise ConfigError(
-            f"{path.name}: expected columns estimator,<groups...>,coverage,length"
+            f"{name}: expected columns estimator,<groups...>,coverage,length"
         )
     group_cols = header[1:cov_at]
 
@@ -483,14 +480,14 @@ def _read_performance_csv(path: Path) -> tuple[list[str], list[ExternalPerforman
     for ordinal, raw in enumerate(table[1:], start=1):
         if len(raw) != len(header):
             raise ConfigError(
-                f"{path.name} row {ordinal}: expected {len(header)} cells, got {len(raw)}"
+                f"{name} row {ordinal}: expected {len(header)} cells, got {len(raw)}"
             )
         cells = [cell.strip() for cell in raw]
         try:
             coverage = float(cells[cov_at])
             length = float(cells[len_at])
         except ValueError as exc:
-            raise ConfigError(f"{path.name} row {ordinal}: {exc}") from exc
+            raise ConfigError(f"{name} row {ordinal}: {exc}") from exc
         try:
             rows.append(
                 ExternalPerformanceRow(
@@ -501,9 +498,9 @@ def _read_performance_csv(path: Path) -> tuple[list[str], list[ExternalPerforman
                 )
             )
         except CiindexError as exc:
-            raise ConfigError(f"{path.name} row {ordinal}: {exc}") from exc
+            raise ConfigError(f"{name} row {ordinal}: {exc}") from exc
     if not rows:
-        raise ConfigError(f"{path.name}: no data rows")
+        raise ConfigError(f"{name}: no data rows")
     return group_cols, rows
 
 
@@ -513,13 +510,11 @@ def _score_input(eff: _Effective, section: str) -> tuple[list[str], list[ReportR
     Returns the group columns, the scored rows, and the CSV comment lines.
     """
     in_path = _input_path(eff, section)
-    group_cols, rows = _read_performance_csv(in_path)
+    text, data = _read_text(in_path, "input")
+    group_cols, rows = _read_performance_csv(text, in_path.name)
     report = apply_index(rows, eff.index)
-    echo = dict(
-        dataclasses.asdict(eff.index),
-        mode=eff.mode,
-        input_sha256=hashlib.sha256(in_path.read_bytes()).hexdigest(),
-    )
+    echo = dict(dataclasses.asdict(eff.index), mode=eff.mode,
+                input_sha256=hashlib.sha256(data).hexdigest())
     return group_cols, report, _write_metadata(eff.out_dir, echo)
 
 
@@ -531,12 +526,8 @@ def _run_apply(eff: _Effective) -> None:
         + [_fmt(row.coverage), _fmt(row.mean_length), _fmt(row.index), str(row.rank_within_group)]
         for row in report
     ]
-    _write_csv(
-        eff.out_dir / "report.csv",
-        comments,
-        ["estimator", *group_cols, "coverage", "length", "index", "rank"],
-        out_rows,
-    )
+    _write_csv(eff.out_dir / "report.csv", comments,
+               ["estimator", *group_cols, "coverage", "length", "index", "rank"], out_rows)
 
 
 def _group_label(group_keys: tuple[tuple[str, str], ...]) -> str:
@@ -558,12 +549,8 @@ def _run_plot_data(eff: _Effective) -> None:
         for row in members:
             out_rows.append([label, row.estimator_label, "index", _fmt(row.index)])
         out_rows.append([label, "", "nominal", _fmt(1.0 - eff.index.alpha)])
-    _write_csv(
-        eff.out_dir / "plot_data.csv",
-        comments,
-        ["group", "estimator", "series", "value"],
-        out_rows,
-    )
+    _write_csv(eff.out_dir / "plot_data.csv", comments,
+               ["group", "estimator", "series", "value"], out_rows)
 
 
 _RUNNERS = {

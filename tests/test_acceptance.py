@@ -32,6 +32,19 @@ and one of them, criterion 7, still fails:
   lambda would give about 0.017 (coverage 0.958), still short of the
   printed row.  Which rule the paper intends is an open question; the
   uncalibrated and skip-rule clauses pass.
+
+Two further open questions about the calibration reference table, on
+which no rule has been changed:
+
+* Skip decisions.  The printed table leaves a row uncalibrated when its
+  calibrated value equals the uncalibrated one.  Judged on the printed
+  uncalibrated coverage, the implemented rule (skip when
+  |coverage - 0.95| <= 0.005) fits 18 of the 20 printed rows, a
+  one-sided rule (calibrate only when coverage < 0.95) fits 19, and no
+  rule fits all 20.
+* The n = 50 bootstrap rows print a calibrated length ratio of about
+  1.05, against 1.016 under the t rule; no shared level that converges
+  to alpha reproduces them.
 """
 
 from __future__ import annotations

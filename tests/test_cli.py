@@ -1,6 +1,8 @@
 """Command line front end: configs, CSV contracts, ranking, round trips."""
 
+import builtins
 import csv
+import io
 import json
 import os
 import subprocess
@@ -17,6 +19,8 @@ from ciindex.cli import (
     ExternalPerformanceRow,
     ReportRow,
     _ALLOWED_KEYS,
+    _read_performance_csv,
+    _read_text,
     apply_index,
     main,
 )
@@ -96,9 +100,10 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
-    # each output is written to a temporary file and moved into place only
-    # once complete: a writer failing partway through replications.csv
-    # leaves the earlier complete run's file and no temporary file
+    # each output is rendered whole, written to a temporary file and moved
+    # into place only once complete: a csv writer failing partway through
+    # the rows of replications.csv fails before any of that file is written,
+    # and leaves the earlier complete run's file and no temporary file
     cfg = _write(tmp_path, "mean.ini", MEAN_INI)
     out = tmp_path / "out"
     fresh = tmp_path / "fresh"
@@ -120,6 +125,41 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert main(["simulate-mean", "--config", str(cfg), "--out", str(fresh)]) == EXIT_RUNTIME
     assert sorted(p.name for p in fresh.iterdir()) == ["run_metadata.json"]
+
+
+@pytest.mark.parametrize("failing", ["write", "replace"])
+def test_failed_output_leaves_no_temporary(tmp_path, monkeypatch, failing):
+    # the file write or the rename raising exits 3, removes the temporary
+    # and leaves an earlier complete output byte for byte
+    cfg = _write(tmp_path, "mean.ini", MEAN_INI)
+    out = tmp_path / "out"
+    fresh = tmp_path / "fresh"
+    assert main(["simulate-mean", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    # a successful run leaves no temporary either
+    assert sorted(before) == ["replications.csv", "run_metadata.json", "summary.csv"]
+    if failing == "replace":
+        def fail(*_args):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+    else:
+        def half_writing_open(file, mode="r", **kwargs):
+            handle = builtins.open(file, mode, **kwargs)
+            real_write = handle.write
+
+            def write(text):
+                real_write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+            handle.write = write
+            return handle
+
+        monkeypatch.setattr("ciindex.cli.open", half_writing_open, raising=False)
+    assert main(["simulate-mean", "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert main(["simulate-mean", "--config", str(cfg), "--out", str(fresh)]) == EXIT_RUNTIME
+    assert list(fresh.iterdir()) == []
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -355,6 +395,70 @@ def test_byte_order_mark_is_accepted(tmp_path):
         assert main(["apply", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         rows[name] = _read_rows(out / "report.csv")
     assert rows["bom"] == rows["plain"]
+
+
+@pytest.mark.parametrize("bad", ["config", "input"])
+def test_non_utf8_file_is_a_validation_error(tmp_path, capsys, bad):
+    # a config comment or a table cell in Latin-1: exit 2 naming the file,
+    # and no output written
+    data = tmp_path / "t.csv"
+    label = b"w\xe9ld" if bad == "input" else b"weld"
+    data.write_bytes(b"estimator,coverage,length\n" + label + b",0.9,0.2\n")
+    cfg = tmp_path / "a.ini"
+    comment = b"# caf\xe9\n" if bad == "config" else b""
+    cfg.write_bytes(comment + f"[run]\nschema = 1\n\n[apply]\ninput = {data}\n".encode())
+    out = tmp_path / "out"
+    assert main(["apply", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and str(data if bad == "input" else cfg) in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"estimator,g,coverage,length\r\na,x,0.9,0.2\r\nb,y,0.8,0.1\r\n",
+        b"# note\restimator,g,coverage,length\ra,x,0.9,0.2\rb,y,0.8,0.1\r",
+        'estimator,g,coverage,length\n"a\u2028b",x\x85y,0.9,0.2\nc\x0bd,z\x1c,0.8,0.1\n'.encode(),
+        '\ufeffestimator,g,coverage,length\n"a\r\nb",x,0.9,0.2\n'.encode(),
+    ],
+    ids=["crlf", "lone-cr", "unicode-breaks", "bom"],
+)
+def test_input_lines_split_as_in_a_text_mode_file(tmp_path, raw):
+    # the rows parsed from the text read once are those csv.reader gives over
+    # the text-mode file; str.splitlines would also break at \u2028, \x85,
+    # \x0b and \x1c
+    path = tmp_path / "t.csv"
+    path.write_bytes(raw)
+    with open(path, encoding="utf-8-sig") as handle:
+        table = [r for r in csv.reader(ln for ln in handle if not ln.startswith("#")) if r]
+    text, data = _read_text(path, "input")
+    assert data == raw
+    group_cols, rows = _read_performance_csv(text, path.name)
+    assert group_cols == [table[0][1]]
+    assert [(r.estimator_label, r.group_keys[0][1], r.coverage, r.mean_length) for r in rows] == [
+        (label.strip(), group.strip(), float(cov), float(length))
+        for label, group, cov, length in table[1:]
+    ]
+
+
+@pytest.mark.parametrize("command, section", [("apply", "apply"), ("plot-data", "plot")])
+def test_each_input_is_read_once(tmp_path, monkeypatch, command, section):
+    # one read parses the table and hashes it for input_sha256
+    data = _write(tmp_path, "perf.csv", "estimator,n,coverage,length\na,10,0.95,0.5\n")
+    cfg = _write(tmp_path, "a.ini", f"[run]\nschema = 1\n\n[{section}]\ninput = {data}\n")
+    real_open = io.open
+    reads = []
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if "r" in mode:
+            reads.append(str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert reads.count(str(data)) == 1 and reads.count(str(cfg)) == 1
 
 
 def test_readme_documents_every_config_key():
