@@ -18,7 +18,8 @@ B)`` values ``|t*|`` of ``(m, n)`` samples from their resample means and
 standard deviations, and :func:`_beta_from_lambdas` the ``(m,)`` levels;
 one sample is the one-row case and gives a float level.  The calibration
 study calls both once per block of samples; :func:`calibrate_level` is
-the single sample entry point and also reports all B lambdas.
+the single sample entry point and also reports all B lambdas.  It draws
+its resample set as the one-sample bootstrap estimators draw theirs.
 
 This module holds only the level rule.  The harness issues intervals at
 the calibrated level, both in the calibration study and through
@@ -37,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mean_intervals import _as_sample
-from .sampling import SeedSpec, bootstrap_resamples
+from .mean_intervals import _resample_set
+from .sampling import SeedSpec
 from .special import _check_prob_open, normal_cdf
 
 __all__ = [
@@ -87,24 +88,10 @@ def _beta_from_lambdas(abs_t: np.ndarray, alpha: float) -> float | np.ndarray:
     return float(beta) if beta.ndim == 0 else beta
 
 
-def _row_sds(boot: np.ndarray, means: np.ndarray, out=None, work=None) -> np.ndarray:
-    # boot.std(axis=1, ddof=1), bit for bit, from the row means already in
-    # hand: numpy's own steps without its second pass for the mean, into
-    # the (B,) out and (B, n) work buffers when given
-    work = np.subtract(boot, means[:, None], out=work)
-    np.square(work, out=work)
-    out = np.add.reduce(work, axis=1, out=out)
-    out /= boot.shape[1] - 1
-    return np.sqrt(out, out=out)
-
-
 def _resample_stats(sample, alpha: float, B: int, seed: SeedSpec):
     # one validated sample with the means and sds of its one resample set
-    values = _as_sample(sample, 2)
     _check_prob_open(alpha, "alpha")
-    boot = bootstrap_resamples(values, B, seed)
-    means = boot.mean(axis=1)
-    return values, means, _row_sds(boot, means)
+    return _resample_set(sample, 2, B, seed, with_sds=True)
 
 
 def calibrate_level(sample, alpha: float, B: int, seed: SeedSpec) -> CalibrationResult:

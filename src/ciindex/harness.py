@@ -27,7 +27,7 @@ are derived from (master_seed, path) alone, results are bit-identical for
 any worker count.  A replication opens its N resample streams in one
 pass (their Philox keys are derived together, see :mod:`ciindex.sampling`),
 and each draws exactly what ``SeedSpec(...).child(2, r, i).generator()``
-would.
+would, through the one resample draw of every entry point.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from functools import partial
 
 import numpy as np
 
-from .calibration import _beta_from_lambdas, _lambdas, _resample_stats, _row_sds
+from .calibration import _beta_from_lambdas, _lambdas, _resample_stats
 from .errors import ConfigError, DomainError, InsufficientDataError
 from .index import IndexConfig, compute_index_array
 from .mean_intervals import (
@@ -52,7 +52,7 @@ from .mean_intervals import (
     percentile_from_boot_means,
 )
 from .proportion_intervals import PROPORTION_ESTIMATORS, _weighted_outcomes
-from .sampling import DataModel, SeedSpec, _draw, _resample, _stream_generators, true_parameter
+from .sampling import DataModel, SeedSpec, _draw, _resample_moments, _stream_generators, true_parameter
 
 __all__ = [
     "DESK_SCALE",
@@ -298,12 +298,8 @@ def _replication(
         m = rows.shape[0]
         if needs_boot:
             for j in range(m):
-                boot = _resample(rows[j], plan.B, next(streams))
-                # boot.mean(axis=1), bit for bit, without numpy's wrapper
-                row = np.add.reduce(boot, axis=1, out=means[j])
-                row /= plan.n
-                if calibrate:
-                    _row_sds(boot, row, sds[j], work)
+                row_sds = sds[j] if calibrate else None
+                _resample_moments(rows[j], plan.B, next(streams), means[j], row_sds, work)
         levels = plan.alpha
         if calibrate:
             beta = _beta_from_lambdas(_lambdas(rows, means[:m], sds[:m]), plan.alpha)

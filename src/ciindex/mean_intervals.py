@@ -23,7 +23,8 @@ endpoints.
 The two bootstrap estimators accept precomputed resample means, shape
 ``(B,)`` or ``(m, B)``, through the ``*_from_boot_means`` variants so a
 caller scoring both on one sample can draw the resamples once and share
-them.
+them; given a seed, they draw one sample's resample set as calibration
+does, so a seed gives one resample set whichever entry point asks.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError
-from .sampling import SeedSpec, bootstrap_resamples
+from .sampling import SeedSpec, _resample_moments
 from .special import _check_prob_open, _upper_level, normal_cdf, normal_quantile, student_t_quantile
 
 __all__ = [
@@ -43,12 +44,10 @@ __all__ = [
     "MEAN_ESTIMATORS",
     "bca_from_boot_means",
     "bca_interval",
-    "bootstrap_mean_draws",
     "bootstrap_percentile_interval",
     "johnson_t_interval",
     "normal_theory_interval",
     "percentile_from_boot_means",
-    "sample_skewness",
 ]
 
 MEAN_ESTIMATORS = ("normal_theory", "johnson_t", "bootstrap_percentile", "bca")
@@ -99,13 +98,8 @@ def _as_block(sample, min_n: int) -> np.ndarray:
         raise DomainError("sample must be one sample (n,) or a block of samples (m, n)")
     if values.shape[-1] < min_n:
         raise InsufficientDataError(f"need at least {min_n} observations, got {values.shape[-1]}")
-    return values
-
-
-def _as_sample(sample, min_n: int) -> np.ndarray:
-    values = _as_block(sample, min_n)
-    if values.ndim != 1:
-        raise DomainError("sample must be one-dimensional")
+    if not np.isfinite(values).all():
+        raise DomainError("sample values must be finite")
     return values
 
 
@@ -115,7 +109,22 @@ def _as_means(boot_means) -> np.ndarray:
         raise DomainError("bootstrap means must have shape (B,) or (m, B)")
     if means.shape[-1] < 2:
         raise InsufficientDataError("need at least 2 bootstrap means")
+    if not np.isfinite(means).all():
+        raise DomainError("bootstrap means must be finite")
     return means
+
+
+def _resample_set(sample, min_n: int, B: int, seed: SeedSpec, with_sds: bool = False):
+    # one validated (n,) sample with the (B,) means of its one resample set
+    # from ``seed`` and, with ``with_sds``, their sds (else None)
+    values = _as_block(sample, min_n)
+    if values.ndim != 1:
+        raise DomainError("sample must be one-dimensional")
+    if not (isinstance(B, int) and B >= 2):
+        raise DomainError(f"B must be an integer >= 2, got {B!r}")
+    means, sds = np.empty(B), np.empty(B) if with_sds else None
+    _resample_moments(values, B, seed.generator(), means, sds)
+    return values, means, sds
 
 
 def _check_levels(alpha, block: np.ndarray) -> None:
@@ -182,16 +191,6 @@ class _BlockStats:
         return np.divide(np.sum(dev**3, axis=-1), 6.0 * denom, out=np.zeros(denom.shape), where=denom > 0.0)
 
 
-def sample_skewness(sample) -> float | np.ndarray:
-    """Moment skewness m3 / m2^(3/2) with 1/n central moments.
-
-    A block gives one value per row.  Zero-variance samples return 0 so
-    downstream shifts vanish.
-    """
-    skew = _BlockStats(_as_block(sample, 1)).skew
-    return float(skew) if skew.ndim == 0 else skew
-
-
 def normal_theory_interval(sample, alpha: float | np.ndarray, *, _stats=None) -> ConfidenceInterval:
     """z interval: mean +/- z_{1-alpha/2} * s / sqrt(n), per sample and level.
 
@@ -229,16 +228,6 @@ def johnson_t_interval(sample, alpha: float | np.ndarray, *, _stats=None) -> Con
     return _interval(center - half, center + half)
 
 
-def bootstrap_mean_draws(sample, B: int, seed: SeedSpec) -> np.ndarray:
-    """Means of ``B`` with-replacement resamples, deterministic under ``seed``.
-
-    The resamples come from :func:`~ciindex.sampling.bootstrap_resamples`,
-    so the same seed always yields the same resample set regardless of
-    caller.
-    """
-    return bootstrap_resamples(_as_sample(sample, 1), B, seed).mean(axis=1)
-
-
 def _order_statistic(sorted_values: np.ndarray, p) -> np.ndarray:
     # ceil(p * B) order statistic of each row, 1-indexed, clamped into
     # [1, B]; p is one probability, one per row or (levels, rows), and the
@@ -263,8 +252,7 @@ def percentile_from_boot_means(boot_means, alpha: float | np.ndarray, *, _stats=
 
 def bootstrap_percentile_interval(sample, alpha: float, B: int, seed: SeedSpec) -> ConfidenceInterval:
     """(alpha/2, 1 - alpha/2) empirical quantiles of B bootstrap means."""
-    values = _as_sample(sample, 2)
-    return percentile_from_boot_means(bootstrap_mean_draws(values, B, seed), alpha)
+    return percentile_from_boot_means(_resample_set(sample, 2, B, seed)[1], alpha)
 
 
 def bca_from_boot_means(sample, boot_means, alpha: float | np.ndarray, *, _stats=None) -> ConfidenceInterval:
@@ -294,5 +282,5 @@ def bca_from_boot_means(sample, boot_means, alpha: float | np.ndarray, *, _stats
 
 def bca_interval(sample, alpha: float, B: int, seed: SeedSpec) -> ConfidenceInterval:
     """BCa interval drawing its own B resamples from ``seed``."""
-    values = _as_sample(sample, 3)
-    return bca_from_boot_means(values, bootstrap_mean_draws(values, B, seed), alpha)
+    values, means, _ = _resample_set(sample, 3, B, seed)
+    return bca_from_boot_means(values, means, alpha)

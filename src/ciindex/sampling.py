@@ -7,7 +7,9 @@ population mean ``exp(1.5)``), and binomial counts.  Draws are driven by
 counter-based Philox generator.  Distinct paths give independent streams,
 and a given (seed, path) pair yields identical draws regardless of how
 work is scheduled across processes, which is what makes parallel
-simulation runs bit-reproducible.
+simulation runs bit-reproducible.  Every bootstrap resample set is one
+``(B, n)`` index draw on the sample's stream, made and reduced to its
+means and sds by ``_resample_moments``.
 
 :meth:`SeedSpec.generator` is the definition of a stream: numpy's
 ``SeedSequence(master_seed, spawn_key=path)`` keys a fresh Philox.  A
@@ -25,14 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError
 from .special import _check_prob_open
 
 __all__ = [
     "DataModel",
     "SeedSpec",
     "binomial_model",
-    "bootstrap_resamples",
     "draw_sample",
     "lognormal_model",
     "lognormal_skewness",
@@ -86,6 +87,12 @@ class DataModel:
                 and self.sigma2_log > 0
             ):
                 raise DomainError("lognormal model needs finite mu_log and sigma2_log > 0")
+            try:
+                mean = true_parameter(self)
+            except OverflowError:
+                mean = math.inf
+            if not math.isfinite(mean):
+                raise DomainError("lognormal model needs a finite mean exp(mu_log + sigma2_log / 2)")
         else:
             if not (isinstance(self.n_trials, int) and self.n_trials >= 1):
                 raise DomainError(f"n_trials must be a positive integer, got {self.n_trials!r}")
@@ -188,27 +195,21 @@ def _draw(model: DataModel, size, seed: SeedSpec) -> np.ndarray:
     return rng.binomial(model.n_trials, model.p, size=size)
 
 
-def bootstrap_resamples(values, B: int, seed: SeedSpec) -> np.ndarray:
-    """``B`` with-replacement resamples of ``values`` as one (B, n) block.
-
-    The index matrix is drawn in one ``integers(0, n, size=(B, n))`` call,
-    so a seed always yields the same resample set whichever caller asks.
-    ``values`` must be nonempty and one-dimensional, ``B`` an integer of at
-    least 2.
-    """
-    values = np.asarray(values)
-    if values.ndim != 1:
-        raise DomainError(f"values must be one-dimensional, got shape {values.shape}")
-    if values.size == 0:
-        raise InsufficientDataError("values must be nonempty")
-    if not (isinstance(B, int) and B >= 2):
-        raise DomainError(f"B must be an integer >= 2, got {B!r}")
-    return _resample(values, B, seed.generator())
-
-
-def _resample(values: np.ndarray, B: int, rng: np.random.Generator) -> np.ndarray:
-    # the one resample draw, from a stream already opened
-    return values[rng.integers(0, values.size, size=(B, values.size))]
+def _resample_moments(values: np.ndarray, B: int, rng: np.random.Generator, means, sds=None, work=None) -> None:
+    # the one resample draw, on a stream already opened, written into the
+    # (B,) means and sds (when given) with the bits of boot.mean(axis=1) and
+    # boot.std(axis=1, ddof=1): numpy's own steps without its wrappers or
+    # std's second pass for the mean; ``work`` is an optional (B, n) buffer
+    n = values.size
+    boot = values[rng.integers(0, n, size=(B, n))]
+    np.add.reduce(boot, axis=1, out=means)
+    means /= n
+    if sds is not None:
+        work = np.subtract(boot, means[:, None], out=work)
+        np.square(work, out=work)
+        np.add.reduce(work, axis=1, out=sds)
+        sds /= n - 1
+        np.sqrt(sds, out=sds)
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)

@@ -172,11 +172,13 @@ def test_replay_calls_return_what_the_replay_reads():
     B = 200
     seed = ciindex.SeedSpec(20260815).child(2, 0, 0)
     means = _replay_means(B, seed)
-    np.testing.assert_array_equal(means, ciindex.mean_intervals.bootstrap_mean_draws(VALUES, B, seed))
+    mi = ciindex.mean_intervals
+    # the package draws the replay's resample set, through public names
+    assert mi.percentile_from_boot_means(means, ALPHA) == ciindex.bootstrap_percentile_interval(VALUES, ALPHA, B, seed)
+    assert mi.bca_from_boot_means(VALUES, means, ALPHA) == ciindex.bca_interval(VALUES, ALPHA, B, seed)
 
     beta = ciindex.calibrate_level(VALUES, ALPHA, B, seed).beta
     assert 1.0 / (2 * B) <= beta <= 0.5
-    mi = ciindex.mean_intervals
     for level in (ALPHA, beta):
         intervals = [
             mi.normal_theory_interval(VALUES, level),

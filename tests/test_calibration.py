@@ -1,7 +1,9 @@
 """Working-level calibration: quantile rule, floor, resample reuse."""
 
+import importlib.util
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,17 +15,18 @@ from ciindex import (
     SeedSpec,
     calibrate_level,
     calibrated_interval,
+    draw_sample,
 )
 from ciindex.calibration import _beta_from_lambdas
 from ciindex.mean_intervals import (
     MEAN_ESTIMATORS,
     bca_from_boot_means,
-    bootstrap_mean_draws,
     johnson_t_interval,
     normal_theory_interval,
     percentile_from_boot_means,
 )
 from ciindex.special import normal_quantile
+from plain_bootstrap import boot_means
 
 SAMPLE = [0.2, 0.5, 1.1, 2.0, 3.7, 5.9, 8.0, 9.4, 12.3, 20.1]
 SEED = SeedSpec(20260815, (2, 0, 0))
@@ -88,7 +91,7 @@ def test_calibrated_interval_reuses_resample_set(kind):
     res = calibrate_level(SAMPLE, 0.05, 300, SEED)
     ci = calibrated_interval(kind, SAMPLE, 0.05, 300, SEED)
     values = np.asarray(SAMPLE, dtype=float)
-    means = bootstrap_mean_draws(values, 300, SEED)
+    means = boot_means(values, 300, SEED)
     want = {
         "normal_theory": normal_theory_interval(values, res.beta),
         "johnson_t": johnson_t_interval(values, res.beta),
@@ -137,3 +140,33 @@ def test_input_validation():
         calibrate_level(SAMPLE, 0.0, 50, SEED)
     with pytest.raises(DomainError):
         calibrated_interval("median", SAMPLE, 0.05, 50, SEED)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_sample_is_rejected(bad):
+    # a non-finite sample once gave beta = 1/(2B): a NaN sd fails sd > 0,
+    # so every lambda was 0
+    sample = SAMPLE[:4] + [bad] + SAMPLE[5:]
+    with pytest.raises(DomainError, match="must be finite"):
+        calibrate_level(sample, 0.05, 200, SEED)
+    for kind in MEAN_ESTIMATORS:
+        with pytest.raises(DomainError, match="must be finite"):
+            calibrated_interval(kind, sample, 0.05, 200, SEED)
+
+
+def test_calibration_demo_prints_the_level_of_its_sample(run_child):
+    # the demo's own sample, seed and B, through the public calls it makes
+    path = Path(__file__).resolve().parents[1] / "demos" / "calibrate_skewed_mean.py"
+    spec = importlib.util.spec_from_file_location("calibrate_skewed_mean", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    sample = draw_sample(demo.MODEL, demo.N, demo.SEED.child(1, 0))
+    res = calibrate_level(sample, 0.05, demo.B, demo.SEED.child(2, 0, 0))
+    wide = calibrated_interval("normal_theory", sample, 0.05, demo.B, demo.SEED.child(2, 0, 0))
+
+    child = run_child("demos/calibrate_skewed_mean.py")
+    assert child.returncode == 0, child.stderr
+    quartiles = "/".join(f"{q:.4f}" for q in np.percentile(res.lambdas, [25, 50, 75]))
+    assert f"lambda quartiles {quartiles}\n" in child.stdout
+    assert f"working level beta = {res.beta:.4f} " in child.stdout
+    assert f"calibrated    [{wide.lower:8.4f}, {wide.upper:8.4f}]" in child.stdout

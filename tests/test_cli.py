@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -361,6 +362,18 @@ def test_config_validation_failures(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_lognormal_model_with_an_overflowing_mean_exits_2(tmp_path, capsys):
+    # the model's mean exp(mu_log + sigma2_log / 2) is not a float: a bad
+    # config, rejected before any draw and before --out is made
+    model = "kind = lognormal\nmu_log = 0\nsigma2_log = 1500\n"
+    text = MEAN_INI.replace("kind = normal\nmu = 2.0\nsigma2 = 1.0\n", model)
+    cfg = _write(tmp_path, "big.ini", text)
+    out = tmp_path / "out"
+    assert main(["simulate-mean", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert "finite mean" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_workers_above_cpu_count_rejected(tmp_path, capsys):
     # validated with the config, before any process pool is built
     cfg = _write(tmp_path, "w.ini", MEAN_INI + f"workers = {(os.cpu_count() or 1) + 1}\n")
@@ -575,3 +588,15 @@ def test_import_leaves_scipy_stats_unloaded():
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "[False, False]"
+
+
+def test_rank_demo_ranks_every_row_of_its_data(run_child):
+    child = run_child("demos/rank_estimators.py")
+    assert child.returncode == 0, child.stderr
+    with open(REPO / "demos" / "data" / "cv_estimator_performance.csv", encoding="utf-8") as handle:
+        sizes = Counter((rec["n"], rec["cv"]) for rec in csv.DictReader(handle)).values()
+    lines = child.stdout.splitlines()
+    ranks = [int(line.split()[0]) for line in lines if line.split()[:1] and line.split()[0].isdigit()]
+    # every (n, cv) group of the data, each ranked 1, 2, ... in turn
+    assert ranks == [rank for size in sizes for rank in range(1, size + 1)]
+    assert lines[-1].startswith("lowest index overall: ")

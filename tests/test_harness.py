@@ -42,12 +42,9 @@ from ciindex import (
 )
 from ciindex import harness, mean_intervals
 from ciindex.harness import DEFAULT_SKIP_DELTA
-from ciindex.mean_intervals import (
-    bca_from_boot_means,
-    bootstrap_mean_draws,
-    percentile_from_boot_means,
-)
+from ciindex.mean_intervals import bca_from_boot_means, percentile_from_boot_means
 from ciindex.proportion_intervals import _endpoints
+from plain_bootstrap import boot_means
 
 MEAN_PLAN = SimulationPlan(
     model=normal_model(2.0, 1.0),
@@ -505,9 +502,10 @@ def test_study_kind_mismatch_raises():
 #
 # The engine vectorizes across samples and opens a replication's resample
 # streams in one pass.  The reference below is the plain per-sample loop:
-# every stream opened through SeedSpec.generator, the public one-sample
-# estimators, and running ``+=`` totals, which sum in sample order as the
-# engine's ``cumsum`` does.  The two must agree to the last bit.
+# every stream opened through SeedSpec.generator, resample means drawn and
+# averaged by plain numpy, the public one-sample estimators, and running
+# ``+=`` totals, which sum in sample order as the engine's ``cumsum`` does.
+# The two must agree to the last bit.
 
 
 def _reference_interval(kind, values, means, level):
@@ -535,7 +533,7 @@ def _reference_replication(plan, calibrate, r):
     beta_total = 0.0
     for i, values in enumerate(matrix):
         stream = seed.child(2, r, i)
-        means = bootstrap_mean_draws(values, plan.B, stream)
+        means = boot_means(values, plan.B, stream)
         levels = [plan.alpha]
         if calibrate:
             levels.append(calibrate_level(values, plan.alpha, plan.B, stream).beta)

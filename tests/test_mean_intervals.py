@@ -20,15 +20,21 @@ from ciindex import (
     proportion_interval,
 )
 from ciindex.mean_intervals import (
+    _BlockStats,
+    _resample_set,
     bca_from_boot_means,
-    bootstrap_mean_draws,
     percentile_from_boot_means,
-    sample_skewness,
 )
 from ciindex.special import normal_cdf, normal_quantile, student_t_quantile
+from plain_bootstrap import boot_means
 
 FIVE = [1.0, 2.0, 3.0, 4.0, 5.0]
 SKEWED = [0.0, 0.0, 0.0, 1.0, 10.0]
+
+
+def _skewness(sample) -> float:
+    # the moment skewness m3 / m2^(3/2) the Johnson t shift reads
+    return float(_BlockStats(np.array(sample, dtype=float)).skew)
 
 
 def test_confidence_interval_shape():
@@ -76,7 +82,7 @@ def test_johnson_shifts_right_for_positive_skew():
     plain = normal_theory_interval(SKEWED, 0.05)
     adjusted = johnson_t_interval(SKEWED, 0.05)
     mean = float(np.mean(SKEWED))
-    assert sample_skewness(SKEWED) > 0
+    assert _skewness(SKEWED) > 0
     assert (adjusted.lower + adjusted.upper) / 2.0 > mean
     # the t interval is symmetric about the shifted center
     center = (adjusted.lower + adjusted.upper) / 2.0
@@ -85,24 +91,28 @@ def test_johnson_shifts_right_for_positive_skew():
 
 
 def test_sample_skewness_conventions():
-    assert sample_skewness(FIVE) == 0.0
-    assert sample_skewness([2.0, 2.0, 2.0]) == 0.0  # zero variance convention
+    assert _skewness(FIVE) == 0.0
+    assert _skewness([2.0, 2.0, 2.0]) == 0.0  # zero variance convention
     data = np.array(SKEWED)
     centered = data - data.mean()
     want = np.mean(centered**3) / np.mean(centered**2) ** 1.5
-    assert sample_skewness(SKEWED) == pytest.approx(want, abs=1e-14)
+    assert _skewness(SKEWED) == pytest.approx(want, abs=1e-14)
     # exact rational moments: m3 = 440.88/5, m2 = 76.8/5
-    assert sample_skewness(SKEWED) == pytest.approx(88.176 / 15.36**1.5, abs=1e-12)
+    assert _skewness(SKEWED) == pytest.approx(88.176 / 15.36**1.5, abs=1e-12)
+    # a block gives one value per row, each the row's own
+    block = _BlockStats(np.array([FIVE, SKEWED])).skew
+    assert block.tolist() == [_skewness(FIVE), _skewness(SKEWED)]
 
 
 def test_bootstrap_mean_draws_deterministic_block():
+    # the one-sample entry points' resample means: one (B, n) index block
+    # from the seed's stream, with the bits of plain numpy's mean(axis=1)
     sample = np.array(FIVE)
     seed = SeedSpec(17, (2, 0, 0))
-    means = bootstrap_mean_draws(sample, 100, seed)
-    assert means.shape == (100,)
-    # one (B, n) index block from the same stream reproduces them
-    idx = seed.generator().integers(0, 5, size=(100, 5))
-    assert np.array_equal(means, sample[idx].mean(axis=1))
+    _, means, sds = _resample_set(sample, 2, 100, seed)
+    assert means.shape == (100,) and sds is None
+    assert means.tobytes() == boot_means(sample, 100, seed).tobytes()
+    assert bootstrap_percentile_interval(sample, 0.05, 100, seed) == percentile_from_boot_means(means, 0.05)
 
 
 def test_percentile_order_statistic_rule():
@@ -121,7 +131,7 @@ def test_percentile_order_statistic_rule():
 def test_percentile_within_boot_range():
     sample = np.array(SKEWED)
     ci = bootstrap_percentile_interval(sample, 0.05, 199, SeedSpec(3, (2, 0, 0)))
-    means = bootstrap_mean_draws(sample, 199, SeedSpec(3, (2, 0, 0)))
+    means = boot_means(sample, 199, SeedSpec(3, (2, 0, 0)))
     assert means.min() <= ci.lower <= ci.upper <= means.max()
 
 
@@ -130,7 +140,7 @@ def test_bca_independent_rederivation():
     sample = np.array(FIVE)
     seed = SeedSpec(42, (2, 1, 0))
     B = 2000
-    means = bootstrap_mean_draws(sample, B, seed)
+    means = boot_means(sample, B, seed)
     got = bca_from_boot_means(sample, means, 0.05)
 
     theta = sample.mean()
@@ -158,7 +168,7 @@ def test_bca_independent_rederivation():
 def test_bca_matches_full_pipeline():
     sample = np.array(SKEWED)
     seed = SeedSpec(42, (2, 1, 0))
-    means = bootstrap_mean_draws(sample, 500, seed)
+    means = boot_means(sample, 500, seed)
     assert bca_interval(sample, 0.05, 500, seed) == bca_from_boot_means(sample, means, 0.05)
 
 
@@ -183,13 +193,36 @@ def test_insufficient_data():
         bca_interval([1.0, 2.0], 0.05, 50, SeedSpec(1))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_samples_and_means_are_rejected(bad):
+    # a NaN once gave bca_interval the interval [1, 1]; every mean entry
+    # point now refuses a non-finite sample, and both *_from_boot_means
+    # forms refuse non-finite resample means
+    sample = [1.0, bad, 2.0, 3.0]
+    means = [1.0, 2.0, bad, 3.0]
+    seed = SeedSpec(1)
+    for call in (
+        lambda: normal_theory_interval(sample, 0.05),
+        lambda: johnson_t_interval(sample, 0.05),
+        lambda: bootstrap_percentile_interval(sample, 0.05, 200, seed),
+        lambda: bca_interval(sample, 0.05, 200, seed),
+        lambda: normal_theory_interval([FIVE, sample + [4.0]], 0.05),
+        lambda: bca_from_boot_means(sample, FIVE, 0.05),
+        lambda: bca_from_boot_means(FIVE, means, 0.05),
+        lambda: percentile_from_boot_means(means, 0.05),
+        lambda: percentile_from_boot_means([FIVE[:4], means], 0.05),
+    ):
+        with pytest.raises(DomainError, match="must be finite"):
+            call()
+
+
 def test_alpha_validation():
     with pytest.raises(DomainError):
         normal_theory_interval(FIVE, 0.0)
     with pytest.raises(DomainError):
         bootstrap_percentile_interval(FIVE, 1.0, 50, SeedSpec(1))
     with pytest.raises(DomainError):
-        bootstrap_mean_draws(FIVE, 0, SeedSpec(1))
+        bootstrap_percentile_interval(FIVE, 0.05, 0, SeedSpec(1))
 
 
 def test_an_alpha_too_small_for_an_upper_quantile_is_named():

@@ -32,22 +32,20 @@ from ciindex import (
     run_proportion_study,
     summarize_index,
 )
-from ciindex.calibration import _beta_from_lambdas, _lambdas, _row_sds, _upper_tail
-from ciindex.mean_intervals import (
-    bca_from_boot_means,
-    bootstrap_mean_draws,
-    percentile_from_boot_means,
-)
+from ciindex.calibration import _beta_from_lambdas, _lambdas, _upper_tail
+from ciindex.mean_intervals import bca_from_boot_means, percentile_from_boot_means
 from ciindex import proportion_intervals
 from ciindex.proportion_intervals import _TABLES, _endpoints, _pmf, _weighted_outcomes
+from ciindex.sampling import _resample_moments
 from ciindex.special import _binomial_pmf, normal_cdf
+from plain_bootstrap import boot_means
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 SEED = SeedSpec(20260815, (2, 0, 0))
 
 
 def _percentile(values, alpha):
-    return percentile_from_boot_means(bootstrap_mean_draws(values, 200, SEED), alpha)
+    return percentile_from_boot_means(boot_means(values, 200, SEED), alpha)
 
 
 @st.composite
@@ -347,22 +345,33 @@ def test_a_study_after_an_oracle_sweep_evaluates_no_formula(monkeypatch):
 
 
 @st.composite
-def _resample_sets(draw):
-    # B resamples of n values at scales from 1e-3 to 1e3; integer-valued
-    # sets hold ties, and rows of one repeated value have zero variance
+def _resample_cases(draw):
+    # n values at scales from 1e-3 to 1e3, B and a stream; integer-valued
+    # samples hold ties, and short ones give resamples of one repeated
+    # value, with zero variance
     B = draw(st.integers(1, 40))
     n = draw(st.integers(2, 300))
     scale = draw(st.floats(1e-3, 1e3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
-        return rng.integers(-3, 4, size=(B, n)) * scale
-    return rng.normal(draw(st.floats(-1e3, 1e3)), scale, size=(B, n))
+        values = rng.integers(-3, 4, size=n) * scale
+    else:
+        values = rng.normal(draw(st.floats(-1e3, 1e3)), scale, size=n)
+    return values, B, SeedSpec(draw(st.integers(0, 2**64 - 1)), (2, 0, 0))
 
 
 @PROPERTY
-@given(_resample_sets())
-def test_row_sds_equal_numpy_std(boot):
-    assert _bits(_row_sds(boot, boot.mean(axis=1))) == _bits(boot.std(axis=1, ddof=1))
+@given(_resample_cases(), st.booleans())
+def test_row_sds_equal_numpy_std(case, buffered):
+    # the one resample draw, written into rows of a block as the harness
+    # writes it, gives numpy's mean(axis=1) and std(axis=1, ddof=1) bit for bit
+    values, B, seed = case
+    boot = values[seed.generator().integers(0, values.size, size=(B, values.size))]
+    means, sds = np.empty((2, B))
+    work = np.empty((B, values.size)) if buffered else None
+    _resample_moments(values, B, seed.generator(), means, sds, work)
+    assert _bits(means) == _bits(boot.mean(axis=1))
+    assert _bits(sds) == _bits(boot.std(axis=1, ddof=1))
 
 
 @st.composite

@@ -10,14 +10,18 @@ from ciindex import (
     DomainError,
     InsufficientDataError,
     SeedSpec,
+    bca_interval,
     binomial_model,
+    bootstrap_percentile_interval,
+    calibrate_level,
+    calibrated_interval,
     draw_sample,
     lognormal_model,
     lognormal_skewness,
     normal_model,
     true_parameter,
 )
-from ciindex.sampling import _stream_generators, _stream_keys, bootstrap_resamples
+from ciindex.sampling import _resample_moments, _stream_generators, _stream_keys
 
 # 1 percent critical values keep distribution checks stable across platforms
 KS_LEVEL = 0.01
@@ -104,25 +108,48 @@ def test_model_validation():
         binomial_model(10, 1.0)
 
 
+def test_lognormal_model_with_an_overflowing_mean_is_rejected():
+    # the mean exp(mu_log + sigma2_log / 2) must be a float, or
+    # true_parameter would overflow in every study
+    for mu_log, sigma2_log in ((0.0, 1500.0), (709.0, 2.0), (1e308, 1e308)):
+        with pytest.raises(DomainError, match="finite mean"):
+            lognormal_model(mu_log, sigma2_log)
+    # a mean just below the float limit is kept
+    assert true_parameter(lognormal_model(709.0, 1.5)) == pytest.approx(math.exp(709.75))
+
+
 def test_draw_sample_validation():
     with pytest.raises(DomainError):
         draw_sample(normal_model(0.0, 1.0), 0, SeedSpec(1))
 
 
+def _moments(sample, B, seed):
+    means, sds = np.empty(B), np.empty(B)
+    _resample_moments(sample, B, seed.generator(), means, sds)
+    return means, sds
+
+
 def test_bootstrap_resample_draws_from_sample():
+    # the one resample draw is a function of (sample, B, stream) alone
     sample = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
-    boot = bootstrap_resamples(sample, 7, SeedSpec(5, (2, 0, 0)))
-    assert boot.shape == (7, sample.size)
-    assert set(boot.ravel()).issubset(set(sample))
-    again = bootstrap_resamples(sample, 7, SeedSpec(5, (2, 0, 0)))
-    assert np.array_equal(boot, again)
+    seed = SeedSpec(5, (2, 0, 0))
+    means, sds = _moments(sample, 7, seed)
+    assert sample.min() <= means.min() and means.max() <= sample.max()
+    assert (sds >= 0.0).all()
+    again = _moments(sample, 7, seed)
+    assert means.tobytes() == again[0].tobytes() and sds.tobytes() == again[1].tobytes()
+    # without sds only the means are written, the same bits
+    alone = np.empty(7)
+    _resample_moments(sample, 7, seed.generator(), alone)
+    assert alone.tobytes() == means.tobytes()
+    assert _moments(sample, 7, SeedSpec(5, (2, 0, 1)))[0].tobytes() != means.tobytes()
 
 
 @pytest.mark.parametrize(
     "values, B, error",
     [
         (np.array([]), 5, InsufficientDataError),
-        (np.ones((2, 2)), 3, DomainError),
+        (np.ones((2, 4)), 3, DomainError),
         (np.array(5.0), 3, DomainError),
         (np.ones(4), 0, DomainError),
         (np.ones(4), 1, DomainError),
@@ -132,9 +159,17 @@ def test_bootstrap_resample_draws_from_sample():
     ids=["empty", "2-d", "0-d", "B-0", "B-1", "B-negative", "B-float"],
 )
 def test_bootstrap_resamples_rejects_bad_input(values, B, error):
-    # the public draw owns the input rule; its callers no longer repeat it
-    with pytest.raises(error):
-        bootstrap_resamples(values, B, SeedSpec(5, (2, 0, 0)))
+    # every entry point that draws one sample's resample set applies one
+    # input rule before it opens the stream
+    seed = SeedSpec(5, (2, 0, 0))
+    for call in (
+        lambda: bootstrap_percentile_interval(values, 0.05, B, seed),
+        lambda: bca_interval(values, 0.05, B, seed),
+        lambda: calibrate_level(values, 0.05, B, seed),
+        lambda: calibrated_interval("normal_theory", values, 0.05, B, seed),
+    ):
+        with pytest.raises(error):
+            call()
 
 
 STREAM_MASTERS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 20260815)
