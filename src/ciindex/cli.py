@@ -214,7 +214,7 @@ class _Effective:
     config_path: Path
     seed: int | None
     index: IndexConfig
-    scale: str
+    scale: str | None
     parser: configparser.ConfigParser
 
 
@@ -233,8 +233,8 @@ def _effective(args: argparse.Namespace) -> _Effective:
         args.loss if args.loss is not None else parser.get("run", "loss", fallback="absolute"),
         args.rescaled or _get_typed(parser, "run", "rescaled", bool, False),
     )
-    scale = args.scale if args.scale is not None else parser.get("run", "scale", fallback="desk")
-    if scale not in _SCALES:
+    scale = args.scale if args.scale is not None else parser.get("run", "scale", fallback=None)
+    if scale not in (None, *_SCALES):
         raise ConfigError(f"scale must be one of {sorted(_SCALES)}, got {scale!r}")
     return _Effective(mode=args.command, config_path=config_path, seed=seed, index=index,
                       scale=scale, parser=parser)
@@ -262,17 +262,19 @@ def _build_plan(eff: _Effective, model: DataModel) -> SimulationPlan:
     if eff.seed is None:
         raise ConfigError("a seed is required (config [run] seed or --seed)")
     if model.kind == "binomial":
-        # a binomial study draws R counts: no samples, resamples or workers
+        # a binomial study draws R counts: no samples, resamples, workers or preset
         unread = [k for k in ("N", "B", "skip_delta", "workers") if parser.has_option("study", k)]
         if unread:
             raise ConfigError(f"[study] {', '.join(unread)} does not apply to a binomial model")
+        if eff.scale is not None:
+            raise ConfigError("scale ([run] scale or --scale) does not apply to a binomial model")
         sizes = {"R": _get_typed(parser, "study", "R", int, 1000), "N": 1, "B": 1}
         n = _get_typed(parser, "study", "n", int, model.n_trials)
         default_estimators = PROPORTION_ESTIMATORS
     else:
         sizes = {
             key: _get_typed(parser, "study", key, int, preset)
-            for key, preset in _SCALES[eff.scale].items()
+            for key, preset in _SCALES[eff.scale or "desk"].items()
         }
         n = _require(parser, "study", "n", int)
         default_estimators = MEAN_ESTIMATORS
@@ -501,6 +503,9 @@ def _score_input(eff: _Effective, section: str) -> tuple[list[str], list[ReportR
     Returns the group columns, the scored rows, the CSV comment lines and
     the ``run_metadata.json`` text.
     """
+    unread = [k for k in ("seed", "scale") if getattr(eff, k) is not None]
+    if unread:
+        raise ConfigError(f"{' and '.join(unread)} ([run] key or flag) does not apply to the {eff.mode} mode")
     in_path = _input_path(eff, section)
     text, data = _read_text(in_path, "input")
     group_cols, rows = _read_performance_csv(text, in_path.name)

@@ -272,12 +272,12 @@ def _replication(
     Only the per-stream work runs sample by sample: the resample draw and
     its row of means (and of standard deviations when calibrating), each
     written into a preallocated block.  The levels, the intervals and the
-    tallies run once per block of ``_BLOCK_ROWS`` samples, and each
-    estimator is issued once per block over the block's one record of
-    level-free statistics: at alpha alone, or at the ``(2, m)`` stack of
-    alpha and each sample's beta.  Lengths and levels are summed in sample
-    order (``cumsum``), as a running total would, so every result is the
-    same to the last bit whatever the block size.
+    tallies run once per block of ``_BLOCK_ROWS`` samples: each estimator
+    is issued once per level, at alpha and, when calibrating, at the
+    block's row of betas, over the block's one record of level-free
+    statistics.  Lengths and levels are summed in sample order
+    (``cumsum``), as a running total would, so every result is the same to
+    the last bit whatever the block size.
     """
     seed = SeedSpec(plan.master_seed)
     matrix = _draw(plan.model, (plan.N, plan.n), seed.child(1, r))
@@ -300,16 +300,17 @@ def _replication(
             for j in range(m):
                 row_sds = sds[j] if calibrate else None
                 _resample_moments(rows[j], plan.B, next(streams), means[j], row_sds, work)
-        levels = plan.alpha
+        levels = [plan.alpha]
         if calibrate:
             beta = _beta_from_lambdas(_lambdas(rows, means[:m], sds[:m]), plan.alpha)
             betas[start:start + m] = beta
-            levels = np.stack([np.full(m, plan.alpha), beta])
+            levels.append(beta)
         stats = _BlockStats(rows, means[:m])
         for j, e in enumerate(plan.estimators):
-            ci = _ISSUE[e](stats, levels)
-            covers[:, j] += np.count_nonzero(ci.contains(theta), axis=-1)
-            lengths[:, j, start:start + m] = ci.length
+            for k, level in enumerate(levels):
+                ci = _ISSUE[e](stats, level)
+                covers[k, j] += np.count_nonzero(ci.contains(theta))
+                lengths[k, j, start:start + m] = ci.length
 
     mean_beta = float(np.cumsum(betas)[-1]) / plan.N if calibrate else math.nan
     return covers / plan.N, np.cumsum(lengths, axis=-1)[..., -1] / plan.N, mean_beta

@@ -7,18 +7,16 @@ accelerated (BCa) bootstrap interval.  All four return a
 for the bootstrap pair, of a :class:`~ciindex.sampling.SeedSpec`.
 
 Each estimator takes one sample, shape ``(n,)``, or a block of samples,
-shape ``(m, n)`` with one sample per row.  ``alpha`` is one level, one
-level per row, shape ``(m,)``, or k of those along a leading level axis,
-shape ``(k, m)`` (``(k,)`` for one sample).  A block gives a
-:class:`ConfidenceInterval` with ``(m,)`` or ``(k, m)`` endpoint arrays
-whose entry for level j of row i equals, bit for bit, the interval of row
-i on its own at that level.  The level-free work (mean, sd, skewness, the
-sorted resample means, BCa's bias correction and acceleration) is one
-record, each field computed on its first read and so once for all k
-levels.  The simulation harness passes one record per block of samples
-to all four estimators through their private ``_stats`` keyword, so each
-statistic runs once per block.  One sample at one level gives float
-endpoints.
+shape ``(m, n)`` with one sample per row.  ``alpha`` is one level, or for
+a block one level per row, shape ``(m,)``.  A block gives a
+:class:`ConfidenceInterval` with ``(m,)`` endpoint arrays whose entry i
+equals, bit for bit, the interval of row i on its own at its level.  The
+level-free work (mean, sd, skewness, the sorted resample means, BCa's
+bias correction and acceleration) is one record, each field computed on
+its first read.  The simulation harness passes one record per block of
+samples to all four estimators, at each of its levels, through their
+private ``_stats`` keyword, so each statistic runs once per block.  One
+sample gives float endpoints.
 
 The two bootstrap estimators accept precomputed resample means, shape
 ``(B,)`` or ``(m, B)``, through the ``*_from_boot_means`` variants so a
@@ -58,8 +56,7 @@ class ConfidenceInterval:
     """Closed interval [lower, upper] for a scalar parameter.
 
     For a block of samples the endpoints are ``(m,)`` arrays, one interval
-    per row, or ``(k, m)`` arrays for k levels; :attr:`length` and
-    :meth:`contains` then work elementwise.
+    per row; :attr:`length` and :meth:`contains` then work elementwise.
     """
 
     lower: float | np.ndarray
@@ -128,13 +125,9 @@ def _resample_set(sample, min_n: int, B: int, seed: SeedSpec, with_sds: bool = F
 
 
 def _check_levels(alpha, block: np.ndarray) -> None:
-    # one level for every row, an array of one level per row, or a stack
-    # of those along one leading level axis
-    rows = block.shape[:-1]
-    if isinstance(alpha, np.ndarray) and alpha.ndim and (
-        alpha.ndim > len(rows) + 1 or alpha.shape[alpha.ndim - len(rows):] != rows
-    ):
-        raise DomainError(f"alpha must be one level, one per row or (levels, rows), got shape {alpha.shape}")
+    # one level for every row, or an array of one level per row
+    if isinstance(alpha, np.ndarray) and alpha.ndim and alpha.shape != block.shape[:-1]:
+        raise DomainError(f"alpha must be one level or one per row, got shape {alpha.shape}")
     _check_prob_open(alpha, "alpha")
 
 
@@ -219,10 +212,7 @@ def johnson_t_interval(sample, alpha: float | np.ndarray, *, _stats=None) -> Con
     _check_levels(alpha, values)
     s = _stats or _BlockStats(values)
     n = values.shape[-1]
-    # stdtrit is elementwise, so one evaluation per distinct level gives
-    # the bits of one per entry: a (2, m) stack costs m + 1, not 2m
-    levels, at = np.unique(np.ravel(_upper_level(alpha)), return_inverse=True)
-    t = student_t_quantile(levels, n - 1)[at].reshape(np.shape(alpha))
+    t = student_t_quantile(_upper_level(alpha), n - 1)
     center = s.mean + s.sd * s.skew * (1.0 + 2.0 * t * t) / (6.0 * n)
     half = t * s.sd / math.sqrt(n)
     return _interval(center - half, center + half)
@@ -230,13 +220,12 @@ def johnson_t_interval(sample, alpha: float | np.ndarray, *, _stats=None) -> Con
 
 def _order_statistic(sorted_values: np.ndarray, p) -> np.ndarray:
     # ceil(p * B) order statistic of each row, 1-indexed, clamped into
-    # [1, B]; p is one probability, one per row or (levels, rows), and the
-    # sorted rows are broadcast against it without a copy
+    # [1, B]; p is one probability or one per row
     B = sorted_values.shape[-1]
-    k = np.clip(np.ceil(np.multiply(p, B)), 1, B).astype(np.intp)
-    shape = np.broadcast_shapes(k.shape, sorted_values.shape[:-1])
-    rows = np.broadcast_to(sorted_values, shape + (B,))
-    return np.take_along_axis(rows, np.broadcast_to(k, shape)[..., None] - 1, axis=-1)[..., 0]
+    k = np.clip(np.ceil(np.multiply(p, B)), 1, B).astype(np.intp) - 1
+    if sorted_values.ndim == 1:
+        return sorted_values[k]
+    return sorted_values[np.arange(len(sorted_values)), k]
 
 
 def percentile_from_boot_means(boot_means, alpha: float | np.ndarray, *, _stats=None) -> ConfidenceInterval:

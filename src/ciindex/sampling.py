@@ -88,11 +88,14 @@ class DataModel:
             ):
                 raise DomainError("lognormal model needs finite mu_log and sigma2_log > 0")
             try:
-                mean = true_parameter(self)
+                # the variance too: a finite mean can still have draws whose squares overflow
+                variance = math.expm1(self.sigma2_log) * math.exp(2.0 * self.mu_log + self.sigma2_log)
+                finite = math.isfinite(true_parameter(self)) and math.isfinite(variance)
             except OverflowError:
-                mean = math.inf
-            if not math.isfinite(mean):
-                raise DomainError("lognormal model needs a finite mean exp(mu_log + sigma2_log / 2)")
+                finite = False
+            if not finite:
+                raise DomainError(f"lognormal model (mu_log = {self.mu_log!r}, sigma2_log = {self.sigma2_log!r}) "
+                                  "needs a finite mean exp(mu_log + sigma2_log / 2) and variance")
         else:
             if not (isinstance(self.n_trials, int) and self.n_trials >= 1):
                 raise DomainError(f"n_trials must be a positive integer, got {self.n_trials!r}")

@@ -94,7 +94,8 @@ MEAN_SPANS = (
 def test_studies_call_the_traced_names():
     # perfbench reads these counts; a study that reaches a kernel under
     # another name reports them as 0 and drops the per-estimator timings.
-    # Each estimator is issued once per block of samples, at every level.
+    # Each estimator is issued once per block of samples and level: alpha,
+    # and in a calibration study also the block's betas.
     tracer = _load("tracer")
     plan = ciindex.SimulationPlan(
         model=ciindex.normal_model(2.0, 1.0), n=10, N=20, B=20, R=2, alpha=ALPHA,
@@ -106,7 +107,7 @@ def test_studies_call_the_traced_names():
         with traced.installed():
             run(plan)
         for span in MEAN_SPANS:
-            assert traced.calls[span] == blocks, (run.__name__, span)
+            assert traced.calls[span] == blocks * (2 if calibrate else 1), (run.__name__, span)
         assert traced.calls["special.normal_quantile"] > 0, run.__name__
         if calibrate:
             assert traced.calls["calibration.lambdas"] > 0 and traced.calls["calibration.beta"] > 0

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -363,15 +364,22 @@ def test_config_validation_failures(tmp_path, capsys):
 
 
 def test_lognormal_model_with_an_overflowing_mean_exits_2(tmp_path, capsys):
-    # the model's mean exp(mu_log + sigma2_log / 2) is not a float: a bad
-    # config, rejected before any draw and before --out is made
-    model = "kind = lognormal\nmu_log = 0\nsigma2_log = 1500\n"
-    text = MEAN_INI.replace("kind = normal\nmu = 2.0\nsigma2 = 1.0\n", model)
-    cfg = _write(tmp_path, "big.ini", text)
-    out = tmp_path / "out"
-    assert main(["simulate-mean", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
-    assert "finite mean" in capsys.readouterr().err
-    assert not out.exists()
+    # the model's mean exp(mu_log + sigma2_log / 2), or its variance, is not
+    # a float: a bad config, rejected before any draw (so with no numpy
+    # overflow warning) and before --out is made
+    for mu_log, sigma2_log in (("0", "1500"), ("700", "1")):
+        model = f"kind = lognormal\nmu_log = {mu_log}\nsigma2_log = {sigma2_log}\n"
+        text = MEAN_INI.replace("kind = normal\nmu = 2.0\nsigma2 = 1.0\n", model)
+        cfg = _write(tmp_path, "big.ini", text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate-mean", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert (
+            f"lognormal model (mu_log = {float(mu_log)}, sigma2_log = {float(sigma2_log)}) needs a finite mean"
+            in capsys.readouterr().err
+        )
+        assert not out.exists()
 
 
 def test_workers_above_cpu_count_rejected(tmp_path, capsys):
@@ -391,6 +399,34 @@ def test_binomial_rejects_unread_study_keys(tmp_path, capsys, line):
     assert main(["simulate-proportion", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
     assert f"[study] {line.split()[0]} does not apply" in capsys.readouterr().err
     assert not (out / "run_metadata.json").exists()
+
+
+@pytest.mark.parametrize("run_line, flags", [("scale = desk\n", []), ("", ["--scale", "paper"])], ids=["key", "flag"])
+def test_binomial_rejects_a_scale(tmp_path, capsys, run_line, flags):
+    # the R/N/B preset never reaches a proportion study: R defaults to 1000
+    cfg = _write(tmp_path, "p.ini", PROP_INI.replace("seed = 99\n", "seed = 99\n" + run_line))
+    out = tmp_path / "out"
+    assert main(["simulate-proportion", "--config", str(cfg), "--out", str(out), *flags]) == EXIT_VALIDATION
+    assert "scale ([run] scale or --scale) does not apply to a binomial model" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section", [("apply", "apply"), ("plot-data", "plot")])
+@pytest.mark.parametrize("run_line, flags, unread", [
+    ("seed = 5\n", [], "seed"),
+    ("scale = desk\n", [], "scale"),
+    ("", ["--seed", "5"], "seed"),
+    ("", ["--scale", "paper"], "scale"),
+    ("seed = 5\n", ["--scale", "desk"], "seed and scale"),
+], ids=["seed-key", "scale-key", "seed-flag", "scale-flag", "both"])
+def test_score_modes_reject_a_seed_or_scale(tmp_path, capsys, command, section, run_line, flags, unread):
+    # apply and plot-data draw nothing and run no study
+    data = _write(tmp_path, "perf.csv", "estimator,n,coverage,length\na,10,0.95,0.5\n")
+    cfg = _write(tmp_path, "a.ini", f"[run]\nschema = 1\n{run_line}\n[{section}]\ninput = {data}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == EXIT_VALIDATION
+    assert f"{unread} ([run] key or flag) does not apply to the {command} mode" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

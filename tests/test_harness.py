@@ -442,8 +442,8 @@ def test_block_statistics_are_computed_once_per_block(monkeypatch):
 
 
 def test_johnson_t_quantile_once_per_distinct_level(monkeypatch):
-    # a calibration block issues johnson_t at the (2, m) stack of alpha and
-    # each sample's beta: alpha's row is one level, so at most m + 1
+    # a calibration block issues johnson_t at alpha, one level, and at its
+    # row of betas: at most m + 1 quantiles over the block's two calls
     levels = []
     quantile = mean_intervals.student_t_quantile
 
@@ -453,9 +453,9 @@ def test_johnson_t_quantile_once_per_distinct_level(monkeypatch):
 
     monkeypatch.setattr(mean_intervals, "student_t_quantile", recording)
     run_calibration_study(BLOCK_PLAN)
-    assert len(levels) == len(BLOCK_ROWS)
-    for size, m in zip(levels, BLOCK_ROWS):
-        assert size <= m + 1
+    assert len(levels) == 2 * len(BLOCK_ROWS)
+    for at_alpha, at_beta, m in zip(levels[::2], levels[1::2], BLOCK_ROWS):
+        assert at_alpha + at_beta <= m + 1
 
 
 def test_plan_validation():

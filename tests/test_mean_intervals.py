@@ -246,12 +246,14 @@ def test_an_alpha_too_small_for_an_upper_quantile_is_named():
 @pytest.mark.parametrize(
     "rows, shape",
     [
-        (1, (2, 2)),     # one sample takes one level axis at most
+        (1, (2, 2)),     # one sample takes one level
         (1, (1, 1)),
         (2, (3,)),       # one level per row must match the rows
-        (2, (2, 3)),     # (levels, rows) must end in the rows
+        (2, (2, 3)),     # no level axis before the rows
         (2, (2, 1)),     # no implicit broadcast across rows
-        (2, (2, 2, 2)),  # at most one level axis
+        (2, (2, 2, 2)),
+        (1, (2,)),       # not even a level axis of its own
+        (2, (2, 2)),     # nor one that ends in the rows
     ],
 )
 def test_level_arrays_must_end_in_the_rows(rows, shape):

@@ -444,19 +444,6 @@ def test_block_calls_equal_their_one_row_calls(case):
         for i in rows:
             assert isinstance(one[name][i].lower, float)
 
-    # k levels in one call: a (2, m) stack gives each level's block call,
-    # and two levels for one sample give its two one-level calls
-    stack = np.stack([np.full(len(rows), 0.05), np.array(level)])
-    at_05 = _four(values, means, 0.05)
-    paired = _four(values[0], means[0], stack[:, 0])
-    for name, ci in _four(values, means, stack).items():
-        ci0 = paired[name]
-        for k, single in enumerate((at_05[name], block[name])):
-            assert _bits(ci.lower[k]) == _bits(single.lower), name
-            assert _bits(ci.upper[k]) == _bits(single.upper), name
-            assert _bits(ci0.lower[k]) == _bits(single.lower[0]), name
-            assert _bits(ci0.upper[k]) == _bits(single.upper[0]), name
-
     abs_t = _lambdas(values, means, sds)
     assert _bits(abs_t) == _bits([_lambdas(values[i], means[i], sds[i]) for i in rows])
     for a in (0.05, level[0]):

@@ -114,8 +114,13 @@ def test_lognormal_model_with_an_overflowing_mean_is_rejected():
     for mu_log, sigma2_log in ((0.0, 1500.0), (709.0, 2.0), (1e308, 1e308)):
         with pytest.raises(DomainError, match="finite mean"):
             lognormal_model(mu_log, sigma2_log)
-    # a mean just below the float limit is kept
-    assert true_parameter(lognormal_model(709.0, 1.5)) == pytest.approx(math.exp(709.75))
+    # so must the variance expm1(sigma2_log) * exp(2 mu_log + sigma2_log),
+    # or every sample sd overflows: a finite mean is not enough
+    for mu_log, sigma2_log in ((700.0, 1.0), (709.0, 1.5), (0.0, 710.0), (354.0, 1.5)):
+        with pytest.raises(DomainError, match=rf"mu_log = {mu_log}, sigma2_log = {sigma2_log}\) needs a finite mean"):
+            lognormal_model(mu_log, sigma2_log)
+    # a variance just below the float limit is kept
+    assert true_parameter(lognormal_model(353.0, 1.5)) == pytest.approx(math.exp(353.75))
 
 
 def test_draw_sample_validation():
