@@ -8,8 +8,10 @@ estimator, series, value) for plotting coverage and index against the
 nominal line.
 
 Every run is driven by a small INI config (documented in the README,
-``schema = 1``) plus optional flag overrides.  All tabular output is CSV
-at 6 decimal places, preceded by comment lines carrying the master seed
+``schema = 1``) plus optional flag overrides.  ``_READS`` lists the
+settings each mode reads; any other, in the config or a flag, is a
+validation error before any work.  All tabular output is CSV at 6
+decimal places, preceded by comment lines carrying the master seed
 (simulation modes) and a plan hash, so re-running a config byte-reproduces
 its outputs.  Index values in CSVs are computed from the 6-dp-rounded
 coverage and length actually written, which makes re-ingesting a study
@@ -52,7 +54,7 @@ from .harness import (
 from .index import _LOSSES, IndexConfig, IntervalPerformance, compute_index, compute_index_array
 from .mean_intervals import MEAN_ESTIMATORS
 from .proportion_intervals import PROPORTION_ESTIMATORS
-from .sampling import DataModel, binomial_model, lognormal_model, normal_model
+from .sampling import _FIELDS, DataModel
 
 __all__ = [
     "ExternalPerformanceRow",
@@ -68,19 +70,18 @@ EXIT_RUNTIME = 3
 
 _SCALES = {"desk": DESK_SCALE, "paper": PAPER_SCALE}
 
-# [model] kind -> (factory, its typed keys in argument order)
-_MODELS = {
-    "normal": (normal_model, (("mu", float), ("sigma2", float))),
-    "lognormal": (lognormal_model, (("mu_log", float), ("sigma2_log", float))),
-    "binomial": (binomial_model, (("n_trials", int), ("p", float))),
-}
-
-_ALLOWED_KEYS = {
-    "run": {"schema", "mode", "seed", "scale", "alpha", "loss", "rescaled"},
-    "model": {"kind", *(key for _factory, keys in _MODELS.values() for key, _kind in keys)},
-    "study": {"n", "N", "B", "R", "estimators", "skip_delta", "workers"},
-    "apply": {"input"},
-    "plot": {"input"},
+# Each mode's settings: its [section]s and their keys, --seed and --scale as
+# [run] seed and scale, and under [model] the kinds it runs, each reading kind
+# and its sampling._FIELDS.  _check_reads rejects any other setting.
+_RUN = ("schema", "mode", "alpha", "loss", "rescaled")
+_READS = {
+    "simulate-mean": {"run": (*_RUN, "seed", "scale"), "model": ("normal", "lognormal"),
+                      "study": ("n", "N", "B", "R", "estimators", "workers")},
+    "simulate-proportion": {"run": (*_RUN, "seed"), "model": ("binomial",), "study": ("n", "R", "estimators")},
+    "calibrate": {"run": (*_RUN, "seed", "scale"), "model": ("normal", "lognormal"),
+                  "study": ("n", "N", "B", "R", "estimators", "skip_delta", "workers")},
+    "apply": {"run": _RUN, "apply": ("input",)},
+    "plot-data": {"run": _RUN, "plot": ("input",)},
 }
 
 
@@ -182,12 +183,6 @@ def _load_config(path: Path) -> configparser.ConfigParser:
         parser.read_file(io.StringIO(text, newline=None), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"config parse failure: {exc}") from exc
-    for section in parser.sections():
-        if section not in _ALLOWED_KEYS:
-            raise ConfigError(f"unknown config section [{section}]")
-        unknown = set(parser[section]) - _ALLOWED_KEYS[section]
-        if unknown:
-            raise ConfigError(f"unknown key(s) in [{section}]: {sorted(unknown)}")
     if not parser.has_section("run"):
         raise ConfigError("config must have a [run] section")
     schema = parser.get("run", "schema", fallback=None)
@@ -223,9 +218,8 @@ def _effective(args: argparse.Namespace) -> _Effective:
     parser = _load_config(config_path)
     mode = parser.get("run", "mode", fallback=None)
     if mode is not None and mode.strip() != args.command:
-        raise ConfigError(
-            f"config [run] mode is {mode.strip()!r} but the {args.command!r} subcommand was invoked"
-        )
+        raise ConfigError(f"config [run] mode is {mode.strip()!r} but the {args.command!r} subcommand was invoked")
+    _check_reads(parser, args)
     seed = args.seed if args.seed is not None else _get_typed(parser, "run", "seed", int)
     # IndexConfig owns the alpha and loss rules; its DomainError exits 2
     index = IndexConfig(
@@ -240,14 +234,33 @@ def _effective(args: argparse.Namespace) -> _Effective:
                       scale=scale, parser=parser)
 
 
+def _check_reads(parser: configparser.ConfigParser, args: argparse.Namespace) -> None:
+    reads = _READS[args.command]
+    for flag in ("seed", "scale"):
+        if getattr(args, flag) is not None and flag not in reads["run"]:
+            raise ConfigError(f"--{flag} does not apply to the {args.command} mode")
+    for section in parser.sections():
+        if section not in reads:
+            raise ConfigError(f"[{section}] does not apply to the {args.command} mode")
+        keys = reads[section]
+        if section == "model":
+            kind = _require(parser, "model", "kind", str)
+            if kind not in _FIELDS:
+                raise ConfigError(f"[model] kind must be normal, lognormal, or binomial, got {kind!r}")
+            if kind not in keys:
+                raise ConfigError(f"[model] kind {kind} does not apply to the {args.command} mode")
+            keys = ("kind", *_FIELDS[kind])
+        for key in parser[section]:
+            if key not in keys:
+                raise ConfigError(f"[{section}] {key} does not apply to the {args.command} mode")
+
+
 def _build_model(parser: configparser.ConfigParser) -> DataModel:
     if not parser.has_section("model"):
         raise ConfigError("this mode needs a [model] section")
-    kind = parser.get("model", "kind", fallback=None)
-    if kind not in _MODELS:
-        raise ConfigError(f"[model] kind must be normal, lognormal, or binomial, got {kind!r}")
-    factory, keys = _MODELS[kind]
-    return factory(*(_require(parser, "model", key, typed) for key, typed in keys))
+    kind = parser.get("model", "kind")  # _check_reads has checked it
+    fields = {key: _require(parser, "model", key, typed) for key, typed in _FIELDS[kind].items()}
+    return DataModel(kind, **fields)
 
 
 def _require(parser, section, key, kind):
@@ -262,12 +275,6 @@ def _build_plan(eff: _Effective, model: DataModel) -> SimulationPlan:
     if eff.seed is None:
         raise ConfigError("a seed is required (config [run] seed or --seed)")
     if model.kind == "binomial":
-        # a binomial study draws R counts: no samples, resamples, workers or preset
-        unread = [k for k in ("N", "B", "skip_delta", "workers") if parser.has_option("study", k)]
-        if unread:
-            raise ConfigError(f"[study] {', '.join(unread)} does not apply to a binomial model")
-        if eff.scale is not None:
-            raise ConfigError("scale ([run] scale or --scale) does not apply to a binomial model")
         sizes = {"R": _get_typed(parser, "study", "R", int, 1000), "N": 1, "B": 1}
         n = _get_typed(parser, "study", "n", int, model.n_trials)
         default_estimators = PROPORTION_ESTIMATORS
@@ -503,9 +510,6 @@ def _score_input(eff: _Effective, section: str) -> tuple[list[str], list[ReportR
     Returns the group columns, the scored rows, the CSV comment lines and
     the ``run_metadata.json`` text.
     """
-    unread = [k for k in ("seed", "scale") if getattr(eff, k) is not None]
-    if unread:
-        raise ConfigError(f"{' and '.join(unread)} ([run] key or flag) does not apply to the {eff.mode} mode")
     in_path = _input_path(eff, section)
     text, data = _read_text(in_path, "input")
     group_cols, rows = _read_performance_csv(text, in_path.name)

@@ -292,14 +292,12 @@ def _replication(
     betas = np.empty(plan.N)
     means = np.empty((_BLOCK_ROWS, plan.B))
     sds = np.empty((_BLOCK_ROWS, plan.B))
-    work = np.empty((plan.B, plan.n))
     for start in range(0, plan.N, _BLOCK_ROWS):
         rows = matrix[start:start + _BLOCK_ROWS]
         m = rows.shape[0]
         if needs_boot:
             for j in range(m):
-                row_sds = sds[j] if calibrate else None
-                _resample_moments(rows[j], plan.B, next(streams), means[j], row_sds, work)
+                _resample_moments(rows[j], plan.B, next(streams), means[j], sds[j] if calibrate else None)
         levels = [plan.alpha]
         if calibrate:
             beta = _beta_from_lambdas(_lambdas(rows, means[:m], sds[:m]), plan.alpha)

@@ -135,7 +135,10 @@ def _pow_1_5(x) -> np.ndarray:
     # x ** 1.5 through the C library pow, one element at a time, as the
     # float arithmetic of one sample does; numpy's vector pow (SVML on
     # AVX-512 hosts) can differ from it in the last bit
-    return np.array([v**1.5 for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+    try:
+        return np.array([v**1.5 for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+    except OverflowError as exc:
+        raise DomainError("sample moments overflow: a second moment ** 1.5 exceeds the float range") from exc
 
 
 class _BlockStats:
@@ -160,8 +163,8 @@ class _BlockStats:
     def skew(self) -> np.ndarray:
         centered = self.values - self.mean[..., None]
         m2 = np.asarray(np.mean(centered**2, axis=-1))
-        m3 = np.mean(centered**3, axis=-1)
-        return np.divide(m3, _pow_1_5(m2), out=np.zeros(m2.shape), where=m2 != 0.0)
+        denom = _pow_1_5(m2)  # first: where it overflows, so would the cubes
+        return np.divide(np.mean(centered**3, axis=-1), denom, out=np.zeros(m2.shape), where=m2 != 0.0)
 
     @cached_property
     def sorted_means(self) -> np.ndarray:

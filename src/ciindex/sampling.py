@@ -41,7 +41,9 @@ __all__ = [
     "true_parameter",
 ]
 
-_KINDS = ("normal", "lognormal", "binomial")
+# each model kind's fields and their types, in argument order
+_FIELDS = {"normal": {"mu": float, "sigma2": float}, "lognormal": {"mu_log": float, "sigma2_log": float},
+           "binomial": {"n_trials": int, "p": float}}
 
 
 @dataclass(frozen=True)
@@ -63,20 +65,12 @@ class DataModel:
     p: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        expected = {
-            "normal": ("mu", "sigma2"),
-            "lognormal": ("mu_log", "sigma2_log"),
-            "binomial": ("n_trials", "p"),
-        }[self.kind]
-        for name in ("mu", "sigma2", "mu_log", "sigma2_log", "n_trials", "p"):
-            value = getattr(self, name)
-            if name in expected:
-                if value is None:
-                    raise DomainError(f"{self.kind} model requires {name}")
-            elif value is not None:
-                raise DomainError(f"{self.kind} model does not take {name}")
+        if self.kind not in _FIELDS:
+            raise DomainError(f"kind must be one of {tuple(_FIELDS)}, got {self.kind!r}")
+        for name in (name for fields in _FIELDS.values() for name in fields):
+            if (getattr(self, name) is None) == (name in _FIELDS[self.kind]):
+                verb = "requires" if name in _FIELDS[self.kind] else "does not take"
+                raise DomainError(f"{self.kind} model {verb} {name}")
         if self.kind == "normal":
             if not (math.isfinite(self.mu) and math.isfinite(self.sigma2) and self.sigma2 > 0):
                 raise DomainError("normal model needs finite mu and sigma2 > 0")
@@ -198,19 +192,19 @@ def _draw(model: DataModel, size, seed: SeedSpec) -> np.ndarray:
     return rng.binomial(model.n_trials, model.p, size=size)
 
 
-def _resample_moments(values: np.ndarray, B: int, rng: np.random.Generator, means, sds=None, work=None) -> None:
+def _resample_moments(values: np.ndarray, B: int, rng: np.random.Generator, means, sds=None) -> None:
     # the one resample draw, on a stream already opened, written into the
     # (B,) means and sds (when given) with the bits of boot.mean(axis=1) and
     # boot.std(axis=1, ddof=1): numpy's own steps without its wrappers or
-    # std's second pass for the mean; ``work`` is an optional (B, n) buffer
+    # std's second pass for the mean, centring and squaring the (B, n) set in place
     n = values.size
     boot = values[rng.integers(0, n, size=(B, n))]
     np.add.reduce(boot, axis=1, out=means)
     means /= n
     if sds is not None:
-        work = np.subtract(boot, means[:, None], out=work)
-        np.square(work, out=work)
-        np.add.reduce(work, axis=1, out=sds)
+        np.subtract(boot, means[:, None], out=boot)
+        np.square(boot, out=boot)
+        np.add.reduce(boot, axis=1, out=sds)
         sds /= n - 1
         np.sqrt(sds, out=sds)
 

@@ -20,12 +20,13 @@ from ciindex.cli import (
     EXIT_VALIDATION,
     ExternalPerformanceRow,
     ReportRow,
-    _ALLOWED_KEYS,
+    _READS,
     _read_performance_csv,
     _read_text,
     apply_index,
     main,
 )
+from ciindex.sampling import _FIELDS
 from published_tables import CV_ROW_ORDER, CV_ROWS
 
 REPO = Path(__file__).resolve().parents[1]
@@ -397,27 +398,29 @@ def test_binomial_rejects_unread_study_keys(tmp_path, capsys, line):
     cfg = _write(tmp_path, "p.ini", PROP_INI + line + "\n")
     out = tmp_path / "out"
     assert main(["simulate-proportion", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
-    assert f"[study] {line.split()[0]} does not apply" in capsys.readouterr().err
+    assert f"[study] {line.split()[0]} does not apply to the simulate-proportion mode" in capsys.readouterr().err
     assert not (out / "run_metadata.json").exists()
 
 
-@pytest.mark.parametrize("run_line, flags", [("scale = desk\n", []), ("", ["--scale", "paper"])], ids=["key", "flag"])
-def test_binomial_rejects_a_scale(tmp_path, capsys, run_line, flags):
+@pytest.mark.parametrize("run_line, flags, setting", [
+    ("scale = desk\n", [], "[run] scale"), ("", ["--scale", "paper"], "--scale"),
+], ids=["key", "flag"])
+def test_binomial_rejects_a_scale(tmp_path, capsys, run_line, flags, setting):
     # the R/N/B preset never reaches a proportion study: R defaults to 1000
     cfg = _write(tmp_path, "p.ini", PROP_INI.replace("seed = 99\n", "seed = 99\n" + run_line))
     out = tmp_path / "out"
     assert main(["simulate-proportion", "--config", str(cfg), "--out", str(out), *flags]) == EXIT_VALIDATION
-    assert "scale ([run] scale or --scale) does not apply to a binomial model" in capsys.readouterr().err
+    assert f"{setting} does not apply to the simulate-proportion mode" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command, section", [("apply", "apply"), ("plot-data", "plot")])
 @pytest.mark.parametrize("run_line, flags, unread", [
-    ("seed = 5\n", [], "seed"),
-    ("scale = desk\n", [], "scale"),
-    ("", ["--seed", "5"], "seed"),
-    ("", ["--scale", "paper"], "scale"),
-    ("seed = 5\n", ["--scale", "desk"], "seed and scale"),
+    ("seed = 5\n", [], "[run] seed"),
+    ("scale = desk\n", [], "[run] scale"),
+    ("", ["--seed", "5"], "--seed"),
+    ("", ["--scale", "paper"], "--scale"),
+    ("seed = 5\n", ["--scale", "desk"], "--scale"),
 ], ids=["seed-key", "scale-key", "seed-flag", "scale-flag", "both"])
 def test_score_modes_reject_a_seed_or_scale(tmp_path, capsys, command, section, run_line, flags, unread):
     # apply and plot-data draw nothing and run no study
@@ -425,7 +428,43 @@ def test_score_modes_reject_a_seed_or_scale(tmp_path, capsys, command, section, 
     cfg = _write(tmp_path, "a.ini", f"[run]\nschema = 1\n{run_line}\n[{section}]\ninput = {data}\n")
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == EXIT_VALIDATION
-    assert f"{unread} ([run] key or flag) does not apply to the {command} mode" in capsys.readouterr().err
+    assert f"{unread} does not apply to the {command} mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, setting", [
+    ("simulate-proportion", PROP_INI.replace("p = 0.3\n", "p = 0.3\nmu = 5.0\nsigma2_log = 2.0\n"), "[model] mu"),
+    ("simulate-mean", MEAN_INI.replace("sigma2 = 1.0\n", "sigma2 = 1.0\nn_trials = 10\nmu_log = 3.0\n"),
+     "[model] n_trials"),
+    ("simulate-mean", MEAN_INI + "skip_delta = 0.3\n", "[study] skip_delta"),
+    ("apply", "[study]\nn = 5\n", "[study]"),
+    ("apply", "[model]\nkind = normal\nmu = 2.0\nsigma2 = 1.0\n", "[model]"),
+    ("apply", "[plot]\ninput = perf.csv\n", "[plot]"),
+    ("simulate-mean", MEAN_INI + "\n[apply]\ninput = nowhere.csv\n", "[apply]"),
+    ("simulate-mean", PROP_INI, "[model] kind binomial"),
+    ("calibrate", PROP_INI, "[model] kind binomial"),
+    ("simulate-proportion", MEAN_INI.replace("mode = simulate-mean\n", ""), "[model] kind normal"),
+], ids=["proportion-model-keys", "mean-model-keys", "mean-skip_delta", "apply-study", "apply-model",
+        "apply-plot", "mean-apply", "mean-binomial", "calibrate-binomial", "proportion-normal"])
+def test_a_setting_the_mode_does_not_read_is_rejected(tmp_path, capsys, command, text, setting):
+    # the first seven ran and ignored the setting; a mode now reads every
+    # setting it is given, and runs only its own model kinds
+    _write(tmp_path, "perf.csv", "estimator,n,coverage,length\na,10,0.95,0.5\n")
+    if command == "apply":
+        text = f"[run]\nschema = 1\n\n[apply]\ninput = perf.csv\n\n{text}"
+    cfg = _write(tmp_path, "c.ini", text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert f"{setting} does not apply to the {command} mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_sample_moment_overflow_exits_2(tmp_path, capsys):
+    # normal draws near 1e105: the Johnson t skewness's m2 ** 1.5 passes the float range
+    cfg = _write(tmp_path, "big.ini", MEAN_INI.replace("sigma2 = 1.0\n", "sigma2 = 1e210\n"))
+    out = tmp_path / "out"
+    assert main(["simulate-mean", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert "sample moments overflow" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -529,12 +568,26 @@ def test_each_input_is_read_once(tmp_path, monkeypatch, command, section):
 
 
 def test_readme_documents_every_config_key():
+    # each mode's list names the settings it reads beyond those every mode
+    # reads, and the key table names every key and each kind's fields
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Config format", 1)[1].split("\n### ", 1)[0]
-    for name, keys in _ALLOWED_KEYS.items():
-        assert f"`[{name}]" in section, name
-        for key in keys:
-            assert f"`{key}`" in section, (name, key)
+    every_mode = section.split("Every mode reads", 1)[1].split("\n\n", 1)[0]
+    lines = {item.split("`")[1]: item for item in section.split("\n* ")[1:]}
+    shared = set.intersection(*(set(reads["run"]) for reads in _READS.values()))
+    for mode, reads in _READS.items():
+        for name, keys in reads.items():
+            own = [key for key in keys if name != "run" or key not in shared]
+            if own:
+                assert f"`[{name}]`" in lines[mode], (mode, name)
+            assert all(f"`{key}`" in lines[mode] for key in own), (mode, name)
+            assert all(f"`{key}`" in every_mode for key in keys if key not in own), (mode, name)
+    table = section.split("Every key:", 1)[1]
+    settings = {(name, key) for reads in _READS.values() for name, keys in reads.items() if name != "model"
+                for key in keys}
+    settings |= {("model", key) for fields in _FIELDS.values() for key in ("kind", *fields)}
+    for name, key in settings:
+        assert f"`[{name}]`" in table and f"`{key}`" in table, (name, key)
 
 
 @pytest.mark.parametrize("command, section", [("apply", "apply"), ("plot-data", "plot")])

@@ -14,6 +14,7 @@ from ciindex import (
     SeedSpec,
     bca_interval,
     bootstrap_percentile_interval,
+    calibrated_interval,
     exact_performance,
     johnson_t_interval,
     normal_theory_interval,
@@ -214,6 +215,21 @@ def test_non_finite_samples_and_means_are_rejected(bad):
     ):
         with pytest.raises(DomainError, match="must be finite"):
             call()
+
+
+def test_a_moment_past_the_float_range_is_a_domain_error():
+    # this sample's m2 ** 1.5 overflows a float, where Python's pow raised a
+    # bare OverflowError; the z interval reads no third moment and stays finite
+    sample = [0.0, 1e150, -1e150, 2e150]
+    for call in (
+        lambda: johnson_t_interval(sample, 0.05),
+        lambda: bca_interval(sample, 0.05, 50, SeedSpec(1)),
+        lambda: calibrated_interval("johnson_t", sample, 0.05, 50, SeedSpec(1)),
+    ):
+        with pytest.raises(DomainError, match="sample moments overflow"):
+            call()
+    ci = normal_theory_interval(sample, 0.05)
+    assert math.isfinite(ci.lower) and math.isfinite(ci.upper)
 
 
 def test_alpha_validation():
