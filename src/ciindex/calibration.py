@@ -21,6 +21,11 @@ study calls both once per block of samples; :func:`calibrate_level` is
 the single sample entry point and also reports all B lambdas.  It draws
 its resample set as the one-sample bootstrap estimators draw theirs.
 
+The rule needs three observations, whatever the estimator: at n = 2
+every resample's ``|t*|`` is 0 or inf, so it could give only its floor.
+The study and both one-sample entry points refuse a smaller sample, and
+a resample sd that overflows the float range is a ``DomainError``.
+
 This module holds only the level rule.  The harness issues intervals at
 the calibrated level, both in the calibration study and through
 :func:`ciindex.harness.calibrated_interval`.  It takes the bootstrap
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mean_intervals import _resample_set
+from .mean_intervals import _finite_moments, _resample_set
 from .sampling import SeedSpec
 from .special import _check_prob_open, normal_cdf
 
@@ -46,6 +51,8 @@ __all__ = [
     "CalibrationResult",
     "calibrate_level",
 ]
+
+_CALIBRATION_MIN_N = 3
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,7 @@ def _lambdas(values: np.ndarray, means: np.ndarray, sds: np.ndarray) -> np.ndarr
     # |t*| of every resample, row by row: lambda = 1 - Phi(|t*|) falls as
     # |t*| grows, so these order the lambdas in reverse; a zero-sd
     # resample has an infinite t, whose lambda is 0
+    _finite_moments(sds)
     scaled = math.sqrt(values.shape[-1]) * (means - values.mean(axis=-1, keepdims=True))
     t = np.divide(scaled, sds, out=np.full(means.shape, np.inf), where=sds > 0.0)
     return np.abs(t, out=t)
@@ -91,7 +99,7 @@ def _beta_from_lambdas(abs_t: np.ndarray, alpha: float) -> float | np.ndarray:
 def _resample_stats(sample, alpha: float, B: int, seed: SeedSpec):
     # one validated sample with the means and sds of its one resample set
     _check_prob_open(alpha, "alpha")
-    return _resample_set(sample, 2, B, seed, with_sds=True)
+    return _resample_set(sample, _CALIBRATION_MIN_N, B, seed, with_sds=True)
 
 
 def calibrate_level(sample, alpha: float, B: int, seed: SeedSpec) -> CalibrationResult:

@@ -484,20 +484,15 @@ def _read_performance_csv(text: str, name: str) -> tuple[list[str], list[Externa
             )
         cells = [cell.strip() for cell in raw]
         try:
-            coverage = float(cells[cov_at])
-            length = float(cells[len_at])
-        except ValueError as exc:
-            raise ConfigError(f"{name} row {ordinal}: {exc}") from exc
-        try:
             rows.append(
                 ExternalPerformanceRow(
                     estimator_label=cells[0],
                     group_keys=tuple(zip(group_cols, cells[1 : cov_at])),
-                    coverage=coverage,
-                    mean_length=length,
+                    coverage=float(cells[cov_at]),
+                    mean_length=float(cells[len_at]),
                 )
             )
-        except CiindexError as exc:
+        except ValueError as exc:
             raise ConfigError(f"{name} row {ordinal}: {exc}") from exc
     if not rows:
         raise ConfigError(f"{name}: no data rows")

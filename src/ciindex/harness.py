@@ -39,11 +39,13 @@ from functools import partial
 
 import numpy as np
 
-from .calibration import _beta_from_lambdas, _lambdas, _resample_stats
+from .calibration import _CALIBRATION_MIN_N, _beta_from_lambdas, _lambdas, _resample_stats
 from .errors import ConfigError, DomainError, InsufficientDataError
 from .index import IndexConfig, compute_index_array
 from .mean_intervals import (
     MEAN_ESTIMATORS,
+    _MIN_N,
+    _RESAMPLED,
     ConfidenceInterval,
     _BlockStats,
     bca_from_boot_means,
@@ -72,7 +74,6 @@ DEFAULT_SKIP_DELTA = 0.005
 DESK_SCALE = {"R": 50, "N": 500, "B": 200}
 PAPER_SCALE = {"R": 5000, "N": 1000, "B": 1000}
 
-_BOOTSTRAP_KINDS = ("bootstrap_percentile", "bca")
 # samples per block in a replication: the estimators and the level rule
 # run once per block, the resample draw once per sample
 _BLOCK_ROWS = 128
@@ -123,9 +124,9 @@ class SimulationPlan:
                     f"({self.model.n_trials})"
                 )
         else:
-            if any(e in _BOOTSTRAP_KINDS for e in self.estimators) and self.B < 2:
+            if _RESAMPLED.intersection(self.estimators) and self.B < 2:
                 raise ConfigError("bootstrap estimators require B >= 2")
-            min_n = 3 if {"johnson_t", "bca"} & set(self.estimators) else 2
+            min_n = max(_MIN_N[e] for e in self.estimators)
             if self.n < min_n:
                 raise ConfigError(f"n must be at least {min_n} for these estimators")
 
@@ -282,7 +283,7 @@ def _replication(
     seed = SeedSpec(plan.master_seed)
     matrix = _draw(plan.model, (plan.N, plan.n), seed.child(1, r))
     theta = true_parameter(plan.model)
-    needs_boot = calibrate or any(e in _BOOTSTRAP_KINDS for e in plan.estimators)
+    needs_boot = calibrate or bool(_RESAMPLED.intersection(plan.estimators))
     if needs_boot:
         streams = _stream_generators(seed.child(2, r), plan.N)
     n_levels = 2 if calibrate else 1
@@ -296,8 +297,9 @@ def _replication(
         rows = matrix[start:start + _BLOCK_ROWS]
         m = rows.shape[0]
         if needs_boot:
-            for j in range(m):
-                _resample_moments(rows[j], plan.B, next(streams), means[j], sds[j] if calibrate else None)
+            with np.errstate(over="ignore"):  # an overflowing sd is refused where it is read
+                for j in range(m):
+                    _resample_moments(rows[j], plan.B, next(streams), means[j], sds[j] if calibrate else None)
         levels = [plan.alpha]
         if calibrate:
             beta = _beta_from_lambdas(_lambdas(rows, means[:m], sds[:m]), plan.alpha)
@@ -363,8 +365,8 @@ def run_calibration_study(plan: SimulationPlan, *, n_workers: int = 1) -> Calibr
     """
     if plan.model.kind not in ("normal", "lognormal"):
         raise ConfigError("run_calibration_study requires a normal or lognormal model")
-    if plan.B < 2 or plan.n < 3:
-        raise ConfigError("calibration requires B >= 2 and n >= 3")
+    if plan.B < 2 or plan.n < _CALIBRATION_MIN_N:
+        raise ConfigError(f"calibration requires B >= 2 and n >= {_CALIBRATION_MIN_N}")
     raw = _map_replications(partial(_replication, plan, True), plan.R, n_workers)
     # (R, levels, E) coverage and length, and the R mean betas
     coverage, length, betas = map(np.array, zip(*raw))

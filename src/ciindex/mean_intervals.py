@@ -48,7 +48,10 @@ __all__ = [
     "percentile_from_boot_means",
 ]
 
-MEAN_ESTIMATORS = ("normal_theory", "johnson_t", "bootstrap_percentile", "bca")
+_MIN_N = {"normal_theory": 2, "johnson_t": 3, "bootstrap_percentile": 2, "bca": 3}
+_RESAMPLED = frozenset({"bootstrap_percentile", "bca"})
+MEAN_ESTIMATORS = tuple(_MIN_N)
+_OVERFLOW = "sample moments overflow: a sample moment exceeds the float range"
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,8 @@ def _resample_set(sample, min_n: int, B: int, seed: SeedSpec, with_sds: bool = F
     if not (isinstance(B, int) and B >= 2):
         raise DomainError(f"B must be an integer >= 2, got {B!r}")
     means, sds = np.empty(B), np.empty(B) if with_sds else None
-    _resample_moments(values, B, seed.generator(), means, sds)
+    with np.errstate(over="ignore"):  # an overflowing sd is refused where it is read
+        _resample_moments(values, B, seed.generator(), means, sds)
     return values, means, sds
 
 
@@ -138,7 +142,21 @@ def _pow_1_5(x) -> np.ndarray:
     try:
         return np.array([v**1.5 for v in np.ravel(x).tolist()]).reshape(np.shape(x))
     except OverflowError as exc:
-        raise DomainError("sample moments overflow: a second moment ** 1.5 exceeds the float range") from exc
+        raise DomainError(_OVERFLOW) from exc
+
+
+def _finite_moments(x):
+    if not np.isfinite(x).all():
+        raise DomainError(_OVERFLOW)
+    return x
+
+
+def _moment(statistic):
+    # a cached statistic that must be finite: its overflow raises, unwarned
+    def checked(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite_moments(statistic(self))
+    return cached_property(checked)
 
 
 class _BlockStats:
@@ -155,15 +173,15 @@ class _BlockStats:
     def mean(self):
         return self.values.mean(axis=-1)
 
-    @cached_property
+    @_moment
     def sd(self):
         return self.values.std(axis=-1, ddof=1)
 
-    @cached_property
+    @_moment
     def skew(self) -> np.ndarray:
         centered = self.values - self.mean[..., None]
         m2 = np.asarray(np.mean(centered**2, axis=-1))
-        denom = _pow_1_5(m2)  # first: where it overflows, so would the cubes
+        denom = _pow_1_5(m2)
         return np.divide(np.mean(centered**3, axis=-1), denom, out=np.zeros(m2.shape), where=m2 != 0.0)
 
     @cached_property
@@ -177,7 +195,7 @@ class _BlockStats:
         count = np.count_nonzero(self.boot_means < self.mean[..., None], axis=-1)
         return normal_quantile(np.clip(count, 0.5, B - 0.5) / B)
 
-    @cached_property
+    @_moment
     def accel(self) -> np.ndarray:
         # jackknife leave-one-out means via the identity (n*mean - x_i)/(n-1)
         n = self.values.shape[-1]
@@ -193,7 +211,7 @@ def normal_theory_interval(sample, alpha: float | np.ndarray, *, _stats=None) ->
     ``s`` is the unbiased (n-1 denominator) standard deviation.  A
     zero-variance sample yields the degenerate interval at the mean.
     """
-    values = _as_block(sample, 2)
+    values = _as_block(sample, _MIN_N["normal_theory"])
     _check_levels(alpha, values)
     s = _stats or _BlockStats(values)
     half = normal_quantile(_upper_level(alpha)) * s.sd / math.sqrt(values.shape[-1])
@@ -211,7 +229,7 @@ def johnson_t_interval(sample, alpha: float | np.ndarray, *, _stats=None) -> Con
     zero-variance sample has zero skewness and zero half-width, so it
     yields the degenerate interval at the mean.
     """
-    values = _as_block(sample, 3)
+    values = _as_block(sample, _MIN_N["johnson_t"])
     _check_levels(alpha, values)
     s = _stats or _BlockStats(values)
     n = values.shape[-1]
@@ -244,7 +262,7 @@ def percentile_from_boot_means(boot_means, alpha: float | np.ndarray, *, _stats=
 
 def bootstrap_percentile_interval(sample, alpha: float, B: int, seed: SeedSpec) -> ConfidenceInterval:
     """(alpha/2, 1 - alpha/2) empirical quantiles of B bootstrap means."""
-    return percentile_from_boot_means(_resample_set(sample, 2, B, seed)[1], alpha)
+    return percentile_from_boot_means(_resample_set(sample, _MIN_N["bootstrap_percentile"], B, seed)[1], alpha)
 
 
 def bca_from_boot_means(sample, boot_means, alpha: float | np.ndarray, *, _stats=None) -> ConfidenceInterval:
@@ -257,7 +275,7 @@ def bca_from_boot_means(sample, boot_means, alpha: float | np.ndarray, *, _stats
     formula; a zero denominator falls back to a = 0, making the interval
     coincide with the percentile interval when additionally z0 = 0.
     """
-    values, means = _as_block(sample, 3), _as_means(boot_means)
+    values, means = _as_block(sample, _MIN_N["bca"]), _as_means(boot_means)
     if means.shape[:-1] != values.shape[:-1]:
         raise DomainError("need one row of bootstrap means per sample")
     _check_levels(alpha, values)
@@ -274,5 +292,5 @@ def bca_from_boot_means(sample, boot_means, alpha: float | np.ndarray, *, _stats
 
 def bca_interval(sample, alpha: float, B: int, seed: SeedSpec) -> ConfidenceInterval:
     """BCa interval drawing its own B resamples from ``seed``."""
-    values, means, _ = _resample_set(sample, 3, B, seed)
+    values, means, _ = _resample_set(sample, _MIN_N["bca"], B, seed)
     return bca_from_boot_means(values, means, alpha)

@@ -56,7 +56,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import special
 
 import published_tables as tables
 from ciindex import (
@@ -78,7 +77,8 @@ from ciindex import (
     run_proportion_study,
 )
 from ciindex import cli
-from ciindex.special import _binomial_pmf, normal_cdf, student_t_quantile
+from ciindex.special import normal_cdf, student_t_quantile
+from oracles import NORMAL_ORACLE_N, _normal_theory_oracle
 
 ACCEPTANCE_SEED = 20260815
 
@@ -354,7 +354,7 @@ def test_reference_table_row_alignment():
         )
 
 
-# Tolerance of the normal-table oracle below, a budget of three parts:
+# Tolerance of the check against the normal-table oracle, a budget of three parts:
 # - the printed means are rounded to 4 decimals: 5e-5;
 # - the oracle puts E L in place of a replication's mean length Lbar.  A
 #   Taylor expansion in L bounds what that ignores by
@@ -367,26 +367,7 @@ def test_reference_table_row_alignment():
 #   to 0.0055 over the rows.  The table does not state its R, so this part
 #   is not a derived band: the gaps (at most 8.2e-4) are within 1.7 SE at
 #   R = 25, but up to 23 SE at the paper preset's R = 5000.
-NORMAL_ORACLE_N = 1000
 NORMAL_ORACLE_TOL = 0.001
-
-
-def _normal_theory_oracle(n: int, N: int, cfg: IndexConfig) -> tuple[float, float]:
-    """E[mean index] of normal_theory on N(mu, 1) data, and the length-variance bound.
-
-    A sample's interval covers with p = P(|T_{n-1}| <= z) and has expected
-    length 2 z sigma c4(n) / sqrt(n); one replication's coverage is
-    Binomial(N, p) / N, so E[index] = sum_k Binom(k; N, p) I(k / N, E L).
-    """
-    z = float(special.ndtri(1.0 - cfg.alpha / 2.0))
-    p = 2.0 * float(special.stdtr(n - 1, z)) - 1.0
-    c4 = math.sqrt(2.0 / (n - 1)) * math.exp(math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0))
-    mean_length = 2.0 * z * c4 / math.sqrt(n)
-    index = compute_index_array(np.arange(N + 1) / N, mean_length, cfg)
-    var_length = (2.0 * z / math.sqrt(n)) ** 2 * (1.0 - c4 * c4) / N
-    sd_eta = math.sqrt(p * (1.0 - p) / N)
-    bound = k_alpha(cfg.alpha) * (1.5 * sd_eta * math.sqrt(var_length) + var_length)
-    return float(_binomial_pmf(N, p) @ index), bound
 
 
 def test_normal_table_matches_the_analytic_oracle():

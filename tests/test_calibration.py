@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -134,12 +135,32 @@ def test_calibration_result_validation():
 def test_input_validation():
     with pytest.raises(InsufficientDataError):
         calibrate_level([1.0], 0.05, 50, SEED)
+    # every resample of two values has |t*| = 0 or inf, so the level rule
+    # could give only its floor 1/(2B): both one-sample calls refuse n = 2,
+    # as the calibration study does
+    with pytest.raises(InsufficientDataError, match="need at least 3 observations, got 2"):
+        calibrate_level([1.0, 2.5], 0.05, 50, SEED)
+    for kind in MEAN_ESTIMATORS:
+        with pytest.raises(InsufficientDataError, match="need at least 3 observations, got 2"):
+            calibrated_interval(kind, [1.0, 2.5], 0.05, 50, SEED)
     with pytest.raises(DomainError):
         calibrate_level(SAMPLE, 0.05, 1, SEED)
     with pytest.raises(DomainError):
         calibrate_level(SAMPLE, 0.0, 50, SEED)
     with pytest.raises(DomainError):
         calibrated_interval("median", SAMPLE, 0.05, 50, SEED)
+
+
+def test_overflowing_resample_sds_are_a_domain_error():
+    # the resample squares overflow: the level would come from infinite
+    # sds, so it is refused, without numpy's RuntimeWarning
+    sample = [0.0, 1e200, -1e200, 3.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="sample moments overflow"):
+            calibrate_level(sample, 0.05, 50, SEED)
+        with pytest.raises(DomainError, match="sample moments overflow"):
+            calibrated_interval("bootstrap_percentile", sample, 0.05, 50, SEED)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

@@ -333,12 +333,15 @@ def test_alpha_flag_changes_nominal(tmp_path):
 
 
 def test_row_level_validation_message(tmp_path, capsys):
-    table = "estimator,coverage,length\nok,0.9,0.5\nbad,1.2,0.5\n"
-    data = _write(tmp_path, "perf.csv", table)
-    cfg = _write(tmp_path, "apply.ini", f"[run]\nschema = 1\n\n[apply]\ninput = {data}\n")
-    assert main(["apply", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert "row 2" in err and "coverage" in err
+    # a number out of range and a cell that is no number: one message form
+    for row, fragment in (("bad,1.2,0.5", "coverage"), ("bad,x,0.5", "could not convert string to float: 'x'")):
+        data = _write(tmp_path, "perf.csv", f"estimator,coverage,length\nok,0.9,0.5\n{row}\n")
+        cfg = _write(tmp_path, "apply.ini", f"[run]\nschema = 1\n\n[apply]\ninput = {data}\n")
+        out = tmp_path / "out"
+        assert main(["apply", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "perf.csv row 2: " in err and fragment in err
+        assert not out.exists()
 
 
 def test_config_validation_failures(tmp_path, capsys):
@@ -466,6 +469,39 @@ def test_a_sample_moment_overflow_exits_2(tmp_path, capsys):
     assert main(["simulate-mean", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
     assert "sample moments overflow" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, estimators, code",
+    [
+        ("simulate-mean", "normal_theory,johnson_t,bootstrap_percentile,bca", EXIT_VALIDATION),
+        ("simulate-mean", "johnson_t", EXIT_VALIDATION),
+        ("calibrate", "normal_theory,johnson_t,bootstrap_percentile,bca", EXIT_VALIDATION),
+        ("calibrate", "bootstrap_percentile", EXIT_VALIDATION),
+        ("simulate-mean", "bootstrap_percentile", EXIT_OK),
+    ],
+    ids=["mean-all", "mean-johnson_t", "calibrate-all", "calibrate-percentile", "mean-percentile"],
+)
+def test_lognormal_draws_whose_squares_overflow(tmp_path, capsys, command, estimators, code):
+    # lognormal(353, 1.5) has a finite variance, but its draws reach e^355,
+    # whose squares overflow: every sd, skewness or acceleration an
+    # estimator reads, and every resample sd a calibrated level reads, is
+    # refused with no numpy warning; the percentile interval reads none
+    model = "kind = lognormal\nmu_log = 353.0\nsigma2_log = 1.5\n"
+    text = MEAN_INI.replace("kind = normal\nmu = 2.0\nsigma2 = 1.0\n", model).replace("seed = 414243", "seed = 1")
+    text = text.replace("mode = simulate-mean", f"mode = {command}")
+    cfg = _write(tmp_path, "big.ini", text + f"estimators = {estimators}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert not caught and "RuntimeWarning" not in err
+    if code == EXIT_VALIDATION:
+        assert "sample moments overflow" in err
+        assert not out.exists()
+    else:
+        assert out.exists()
 
 
 @pytest.mark.parametrize(

@@ -21,12 +21,15 @@ from ciindex import (
     ConfigError,
     DomainError,
     IndexConfig,
+    IndexSummary,
     InsufficientDataError,
     IntervalPerformance,
     SeedSpec,
     SimulationPlan,
     StudyResults,
+    bca_interval,
     binomial_model,
+    bootstrap_percentile_interval,
     calibrate_level,
     compute_index,
     exact_performance,
@@ -486,6 +489,58 @@ def test_plan_validation():
                        estimators=("normal_theory", "normal_theory"), master_seed=1)
 
 
+# each estimator's smallest sample, and its one-sample call
+SMALLEST_SAMPLE = {"normal_theory": 2, "johnson_t": 3, "bootstrap_percentile": 2, "bca": 3}
+ONE_SAMPLE = {
+    "normal_theory": lambda x: normal_theory_interval(x, 0.05),
+    "johnson_t": lambda x: johnson_t_interval(x, 0.05),
+    "bootstrap_percentile": lambda x: bootstrap_percentile_interval(x, 0.05, 20, SeedSpec(1)),
+    "bca": lambda x: bca_interval(x, 0.05, 20, SeedSpec(1)),
+}
+
+
+@pytest.mark.parametrize("kind", MEAN_ESTIMATORS)
+def test_plan_and_one_sample_call_share_each_smallest_sample(kind):
+    min_n = SMALLEST_SAMPLE[kind]
+    with pytest.raises(ConfigError, match=f"n must be at least {min_n} for these estimators"):
+        SimulationPlan(model=normal_model(0.0, 1.0), n=min_n - 1, N=10, B=5, R=2, alpha=0.05,
+                       estimators=(kind,), master_seed=1)
+    SimulationPlan(model=normal_model(0.0, 1.0), n=min_n, N=10, B=5, R=2, alpha=0.05,
+                   estimators=(kind,), master_seed=1)
+    sample = [1.0, 2.5, 4.5]
+    with pytest.raises(InsufficientDataError, match=f"need at least {min_n} observations"):
+        ONE_SAMPLE[kind](sample[:min_n - 1])
+    ONE_SAMPLE[kind](sample[:min_n])
+
+
+def test_the_issue_table_lists_the_estimators_in_order():
+    assert tuple(harness._ISSUE) == MEAN_ESTIMATORS
+
+
+@pytest.mark.parametrize(
+    "change, fragment",
+    [
+        ({"n": 0}, "n must be a positive integer, got 0"),
+        ({"N": 0}, "N must be a positive integer, got 0"),
+        ({"B": 0}, "B must be a positive integer, got 0"),
+        ({"R": 0}, "R must be a positive integer, got 0"),
+        ({"skip_delta": -0.1}, "skip_delta must be >= 0, got -0.1"),
+        ({"B": 1, "estimators": ("normal_theory", "bca")}, "bootstrap estimators require B >= 2"),
+    ],
+    ids=["n", "N", "B", "R", "skip_delta", "bootstrap-B"],
+)
+def test_plan_rejects_a_bad_size_or_setting(change, fragment):
+    fields = dict(model=normal_model(0.0, 1.0), n=10, N=10, B=5, R=2, alpha=0.05,
+                  estimators=("normal_theory",), master_seed=1)
+    with pytest.raises(ConfigError, match=fragment):
+        SimulationPlan(**{**fields, **change})
+
+
+def test_index_summary_rejects_a_negative_st_dev():
+    with pytest.raises(DomainError, match="st_dev must be >= 0, got -1"):
+        IndexSummary(0.95, 1.0, 0.9, 0.0, 0.0, -1.0)
+
+
 def test_study_kind_mismatch_raises():
     mean_plan = MEAN_PLAN
     prop_plan = SimulationPlan(
@@ -496,6 +551,8 @@ def test_study_kind_mismatch_raises():
         run_proportion_study(mean_plan)
     with pytest.raises(ConfigError):
         run_mean_study(prop_plan)
+    with pytest.raises(ConfigError, match="run_calibration_study requires a normal or lognormal model"):
+        run_calibration_study(prop_plan)
 
 
 # ------------------------------------------------------ reference harness

@@ -2,6 +2,7 @@
 re-derivation on a shared resample set, and structural invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,8 @@ def test_confidence_interval_shape():
     assert not ci.contains(3.0001)
     with pytest.raises(DomainError):
         ConfidenceInterval(3.0, 1.0)
+    with pytest.raises(DomainError, match="interval endpoints must be finite"):
+        ConfidenceInterval(math.nan, 1.0)
 
 
 def test_normal_theory_frozen():
@@ -230,6 +233,30 @@ def test_a_moment_past_the_float_range_is_a_domain_error():
             call()
     ci = normal_theory_interval(sample, 0.05)
     assert math.isfinite(ci.lower) and math.isfinite(ci.upper)
+    # here the squares overflow too: every estimator that reads an sd, a
+    # skewness or an acceleration refuses the sample, without numpy's
+    # RuntimeWarning; the percentile interval reads none of them
+    sample = [0.0, 1e200, -1e200]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: normal_theory_interval(sample, 0.05),
+            lambda: johnson_t_interval(sample, 0.05),
+            lambda: bca_interval(sample, 0.05, 50, SeedSpec(1)),
+        ):
+            with pytest.raises(DomainError, match="sample moments overflow"):
+                call()
+        ci = bootstrap_percentile_interval(sample, 0.05, 50, SeedSpec(1))
+    assert math.isfinite(ci.lower) and math.isfinite(ci.upper)
+
+
+def test_boot_means_shapes_are_checked():
+    with pytest.raises(DomainError, match=r"bootstrap means must have shape \(B,\) or \(m, B\)"):
+        percentile_from_boot_means(np.zeros((2, 2, 5)), 0.05)
+    with pytest.raises(InsufficientDataError, match="need at least 2 bootstrap means"):
+        percentile_from_boot_means([1.0], 0.05)
+    with pytest.raises(DomainError, match="need one row of bootstrap means per sample"):
+        bca_from_boot_means([FIVE, FIVE], np.zeros((3, 20)), 0.05)
 
 
 def test_alpha_validation():

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from ciindex import (
+    DataModel,
     DomainError,
     InsufficientDataError,
     SeedSpec,
@@ -106,6 +107,14 @@ def test_model_validation():
         binomial_model(10, 0.0)
     with pytest.raises(DomainError):
         binomial_model(10, 1.0)
+    with pytest.raises(DomainError, match="kind must be one of"):
+        DataModel(kind="gamma")
+    with pytest.raises(DomainError, match="normal model requires sigma2"):
+        DataModel(kind="normal", mu=0.0)
+    with pytest.raises(DomainError, match="normal model does not take p"):
+        DataModel(kind="normal", mu=0.0, sigma2=1.0, p=0.5)
+    with pytest.raises(DomainError, match="sigma2_log must be > 0, got 0.0"):
+        lognormal_skewness(0.0)
 
 
 def test_lognormal_model_with_an_overflowing_mean_is_rejected():
