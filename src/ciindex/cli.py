@@ -8,14 +8,16 @@ estimator, series, value) for plotting coverage and index against the
 nominal line.
 
 Every run is driven by a small INI config (documented in the README,
-``schema = 1``) plus optional flag overrides.  ``_READS`` lists the
-settings each mode reads; any other, in the config or a flag, is a
-validation error before any work.  All tabular output is CSV at 6
-decimal places, preceded by comment lines carrying the master seed
-(simulation modes) and a plan hash, so re-running a config byte-reproduces
-its outputs.  Index values in CSVs are computed from the 6-dp-rounded
-coverage and length actually written, which makes re-ingesting a study
-CSV through ``apply`` reproduce the index column exactly.
+``schema = 1``) plus optional flag overrides, read once: ``_READS`` lists
+each mode's settings and their types.  Any other setting, in the config
+or a flag, and any value that does not parse as its key's type, even one
+a flag overrides, is a validation error before any work.  All tabular
+output is CSV at 6 decimal places, preceded by comment lines carrying the
+master seed (simulation modes) and a plan hash, so re-running a config
+byte-reproduces its outputs.  Index values in CSVs are computed from the
+6-dp-rounded coverage and length actually written, which makes
+re-ingesting a study CSV through ``apply`` reproduce the index column
+exactly.
 
 Exit codes: 0 success, 2 validation failure (a config or input file that
 is missing, not UTF-8 or invalid, bad flags, or bad input rows), 3
@@ -70,18 +72,20 @@ EXIT_RUNTIME = 3
 
 _SCALES = {"desk": DESK_SCALE, "paper": PAPER_SCALE}
 
-# Each mode's settings: its [section]s and their keys, --seed and --scale as
-# [run] seed and scale, and under [model] the kinds it runs, each reading kind
-# and its sampling._FIELDS.  _check_reads rejects any other setting.
-_RUN = ("schema", "mode", "alpha", "loss", "rescaled")
+# Each mode's settings: its [section]s and their {key: type}, --seed and
+# --scale as [run] seed and scale, and under [model] the kinds it runs, each
+# reading a str kind and its sampling._FIELDS.  _settings rejects any other.
+_RUN = {"schema": str, "mode": str, "alpha": float, "loss": str, "rescaled": bool}
+_SEEDED = {**_RUN, "seed": int}
+_SCALED = {**_SEEDED, "scale": str}
+_PROPORTION = {"n": int, "R": int, "estimators": str}
+_MEAN = {**_PROPORTION, "N": int, "B": int, "workers": int}
 _READS = {
-    "simulate-mean": {"run": (*_RUN, "seed", "scale"), "model": ("normal", "lognormal"),
-                      "study": ("n", "N", "B", "R", "estimators", "workers")},
-    "simulate-proportion": {"run": (*_RUN, "seed"), "model": ("binomial",), "study": ("n", "R", "estimators")},
-    "calibrate": {"run": (*_RUN, "seed", "scale"), "model": ("normal", "lognormal"),
-                  "study": ("n", "N", "B", "R", "estimators", "skip_delta", "workers")},
-    "apply": {"run": _RUN, "apply": ("input",)},
-    "plot-data": {"run": _RUN, "plot": ("input",)},
+    "simulate-mean": {"run": _SCALED, "model": ("normal", "lognormal"), "study": _MEAN},
+    "simulate-proportion": {"run": _SEEDED, "model": ("binomial",), "study": _PROPORTION},
+    "calibrate": {"run": _SCALED, "model": ("normal", "lognormal"), "study": {**_MEAN, "skip_delta": float}},
+    "apply": {"run": _RUN, "apply": {"input": str}},
+    "plot-data": {"run": _RUN, "plot": {"input": str}},
 }
 
 
@@ -191,123 +195,99 @@ def _load_config(path: Path) -> configparser.ConfigParser:
     return parser
 
 
-def _get_typed(parser, section, key, kind, default=None):
-    raw = parser.get(section, key, fallback=None)
-    if raw is None:
-        return default
-    try:
-        if kind is bool:
-            return parser.getboolean(section, key)
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} must be a {kind.__name__}, got {raw!r}") from exc
+def _settings(parser: configparser.ConfigParser, args: argparse.Namespace) -> dict[str, dict]:
+    """The config's ``{section: {key: value}}``, each value parsed as its key's type.
+
+    Every setting must be one the mode reads and every value must parse,
+    even one a flag overrides.  The flags are folded in as ``[run]`` keys.
+    """
+    mode = parser.get("run", "mode", fallback=None)
+    if mode is not None and mode.strip() != args.command:
+        raise ConfigError(f"config [run] mode is {mode.strip()!r} but the {args.command!r} subcommand was invoked")
+    reads = _READS[args.command]
+    for flag in ("seed", "scale"):
+        if getattr(args, flag) is not None and flag not in reads["run"]:
+            raise ConfigError(f"--{flag} does not apply to the {args.command} mode")
+    settings = {}
+    for section in parser.sections():
+        if section not in reads:
+            raise ConfigError(f"[{section}] does not apply to the {args.command} mode")
+        keys = reads[section]
+        if section == "model":
+            kind = parser["model"].get("kind")
+            if kind is None:
+                raise ConfigError("[model] kind is required")
+            if kind not in _FIELDS:
+                raise ConfigError(f"[model] kind must be normal, lognormal, or binomial, got {kind!r}")
+            if kind not in reads["model"]:
+                raise ConfigError(f"[model] kind {kind} does not apply to the {args.command} mode")
+            keys = {"kind": str, **_FIELDS[kind]}
+        values = settings[section] = {}
+        for key, raw in parser[section].items():
+            if key not in keys:
+                raise ConfigError(f"[{section}] {key} does not apply to the {args.command} mode")
+            typed = keys[key]
+            try:
+                values[key] = parser.BOOLEAN_STATES[raw.lower()] if typed is bool else typed(raw)
+            except (KeyError, ValueError) as exc:
+                raise ConfigError(f"[{section}] {key} must be a {typed.__name__}, got {raw!r}") from exc
+    run = settings["run"]  # _load_config has checked that [run] exists
+    run.update((f, getattr(args, f)) for f in ("seed", "scale", "alpha", "loss") if getattr(args, f) is not None)
+    if args.rescaled:  # the flag only turns the setting on
+        run["rescaled"] = True
+    return settings
+
+
+def _require(settings: dict[str, dict], section: str, key: str):
+    value = settings.get(section, {}).get(key)
+    if value is None or value == "":
+        raise ConfigError(f"[{section}] {key} is required")
+    return value
 
 
 @dataclass(frozen=True)
 class _Effective:
     mode: str
     config_path: Path
-    seed: int | None
     index: IndexConfig
-    scale: str | None
-    parser: configparser.ConfigParser
+    settings: dict[str, dict]  # as _settings returns them
 
 
 def _effective(args: argparse.Namespace) -> _Effective:
     config_path = Path(args.config)
-    parser = _load_config(config_path)
-    mode = parser.get("run", "mode", fallback=None)
-    if mode is not None and mode.strip() != args.command:
-        raise ConfigError(f"config [run] mode is {mode.strip()!r} but the {args.command!r} subcommand was invoked")
-    _check_reads(parser, args)
-    seed = args.seed if args.seed is not None else _get_typed(parser, "run", "seed", int)
+    settings = _settings(_load_config(config_path), args)
+    run = settings["run"]
     # IndexConfig owns the alpha and loss rules; its DomainError exits 2
-    index = IndexConfig(
-        args.alpha if args.alpha is not None else _get_typed(parser, "run", "alpha", float, 0.05),
-        args.loss if args.loss is not None else parser.get("run", "loss", fallback="absolute"),
-        args.rescaled or _get_typed(parser, "run", "rescaled", bool, False),
-    )
-    scale = args.scale if args.scale is not None else parser.get("run", "scale", fallback=None)
-    if scale not in (None, *_SCALES):
-        raise ConfigError(f"scale must be one of {sorted(_SCALES)}, got {scale!r}")
-    return _Effective(mode=args.command, config_path=config_path, seed=seed, index=index,
-                      scale=scale, parser=parser)
+    index = IndexConfig(run.get("alpha", 0.05), run.get("loss", "absolute"), run.get("rescaled", False))
+    if run.get("scale", "desk") not in _SCALES:
+        raise ConfigError(f"scale must be one of {sorted(_SCALES)}, got {run['scale']!r}")
+    return _Effective(mode=args.command, config_path=config_path, index=index, settings=settings)
 
 
-def _check_reads(parser: configparser.ConfigParser, args: argparse.Namespace) -> None:
-    reads = _READS[args.command]
-    for flag in ("seed", "scale"):
-        if getattr(args, flag) is not None and flag not in reads["run"]:
-            raise ConfigError(f"--{flag} does not apply to the {args.command} mode")
-    for section in parser.sections():
-        if section not in reads:
-            raise ConfigError(f"[{section}] does not apply to the {args.command} mode")
-        keys = reads[section]
-        if section == "model":
-            kind = _require(parser, "model", "kind", str)
-            if kind not in _FIELDS:
-                raise ConfigError(f"[model] kind must be normal, lognormal, or binomial, got {kind!r}")
-            if kind not in keys:
-                raise ConfigError(f"[model] kind {kind} does not apply to the {args.command} mode")
-            keys = ("kind", *_FIELDS[kind])
-        for key in parser[section]:
-            if key not in keys:
-                raise ConfigError(f"[{section}] {key} does not apply to the {args.command} mode")
-
-
-def _build_model(parser: configparser.ConfigParser) -> DataModel:
-    if not parser.has_section("model"):
+def _build_model(settings: dict[str, dict]) -> DataModel:
+    if "model" not in settings:
         raise ConfigError("this mode needs a [model] section")
-    kind = parser.get("model", "kind")  # _check_reads has checked it
-    fields = {key: _require(parser, "model", key, typed) for key, typed in _FIELDS[kind].items()}
-    return DataModel(kind, **fields)
-
-
-def _require(parser, section, key, kind):
-    value = _get_typed(parser, section, key, kind)
-    if value is None:
-        raise ConfigError(f"[{section}] {key} is required")
-    return value
+    kind = settings["model"]["kind"]  # _settings has checked it
+    return DataModel(kind, **{key: _require(settings, "model", key) for key in _FIELDS[kind]})
 
 
 def _build_plan(eff: _Effective, model: DataModel) -> SimulationPlan:
-    parser = eff.parser
-    if eff.seed is None:
+    run, study = eff.settings["run"], eff.settings.get("study", {})
+    if "seed" not in run:
         raise ConfigError("a seed is required (config [run] seed or --seed)")
     if model.kind == "binomial":
-        sizes = {"R": _get_typed(parser, "study", "R", int, 1000), "N": 1, "B": 1}
-        n = _get_typed(parser, "study", "n", int, model.n_trials)
-        default_estimators = PROPORTION_ESTIMATORS
+        sizes = {"R": study.get("R", 1000), "N": 1, "B": 1}
+        n = study.get("n", model.n_trials)
     else:
-        sizes = {
-            key: _get_typed(parser, "study", key, int, preset)
-            for key, preset in _SCALES[eff.scale or "desk"].items()
-        }
-        n = _require(parser, "study", "n", int)
-        default_estimators = MEAN_ESTIMATORS
-    raw = parser.get("study", "estimators", fallback=None)
-    estimators = (
-        tuple(e.strip() for e in raw.split(",") if e.strip()) if raw else default_estimators
-    )
-    skip_delta = _get_typed(parser, "study", "skip_delta", float, DEFAULT_SKIP_DELTA)
+        sizes = {key: study.get(key, preset) for key, preset in _SCALES[run.get("scale", "desk")].items()}
+        n = _require(eff.settings, "study", "n")
+    raw = study.get("estimators")
+    default = PROPORTION_ESTIMATORS if model.kind == "binomial" else MEAN_ESTIMATORS
+    estimators = tuple(e.strip() for e in raw.split(",") if e.strip()) if raw else default
     return SimulationPlan(
-        model=model,
-        n=n,
-        N=sizes["N"],
-        B=sizes["B"],
-        R=sizes["R"],
-        alpha=eff.index.alpha,
-        estimators=estimators,
-        master_seed=eff.seed,
-        skip_delta=skip_delta,
-        loss=eff.index.loss,
-        rescaled=eff.index.rescaled,
+        model=model, n=n, **sizes, alpha=eff.index.alpha, estimators=estimators, master_seed=run["seed"],
+        skip_delta=study.get("skip_delta", DEFAULT_SKIP_DELTA), loss=eff.index.loss, rescaled=eff.index.rescaled,
     )
-
-
-def _workers(eff: _Effective) -> int:
-    # the study bounds the count, before it starts any process
-    return _get_typed(eff.parser, "study", "workers", int, 1)
 
 
 # ---------------------------------------------------------------- output
@@ -378,7 +358,7 @@ def _study(eff: _Effective, run, extra: dict | None = None) -> tuple[object, lis
     ``run`` takes the plan and returns the study's results.  Returns them
     with the CSV comment lines and the ``run_metadata.json`` text.
     """
-    plan = _build_plan(eff, _build_model(eff.parser))
+    plan = _build_plan(eff, _build_model(eff.settings))
     results = run(plan)
     # every plan field, the model's set fields only; "calibrate" keeps the
     # echo (and so the plan hash) of the mode that runs a calibration study
@@ -389,8 +369,9 @@ def _study(eff: _Effective, run, extra: dict | None = None) -> tuple[object, lis
 
 
 def _run_simulate_mean(eff: _Effective) -> _Outputs:
+    # the study bounds the worker count before it starts any process
     results, comments, metadata = _study(
-        eff, lambda plan: run_mean_study(plan, n_workers=_workers(eff)))
+        eff, lambda plan: run_mean_study(plan, n_workers=eff.settings["study"].get("workers", 1)))
     rep_rows = []
     sum_rows = []
     for e, coverage, length, summary in zip(
@@ -426,7 +407,7 @@ def _run_simulate_proportion(eff: _Effective) -> _Outputs:
 def _run_calibrate(eff: _Effective) -> _Outputs:
     study, comments, metadata = _study(
         eff,
-        lambda plan: run_calibration_study(plan, n_workers=_workers(eff)),
+        lambda plan: run_calibration_study(plan, n_workers=eff.settings["study"].get("workers", 1)),
         {"calibration_resamples": "reused"},
     )
     rows = []
@@ -442,12 +423,9 @@ def _run_calibrate(eff: _Effective) -> _Outputs:
 
 
 def _input_path(eff: _Effective, section: str) -> Path:
-    if not eff.parser.has_section(section):
+    if section not in eff.settings:
         raise ConfigError(f"this mode needs a [{section}] section with an input path")
-    raw = eff.parser.get(section, "input", fallback=None)
-    if not raw:
-        raise ConfigError(f"[{section}] input is required")
-    path = Path(raw)
+    path = Path(_require(eff.settings, section, "input"))
     return path if path.is_absolute() else eff.config_path.resolve().parent / path
 
 

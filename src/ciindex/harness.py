@@ -48,6 +48,7 @@ from .mean_intervals import (
     _RESAMPLED,
     ConfidenceInterval,
     _BlockStats,
+    _finite_moments,
     bca_from_boot_means,
     johnson_t_interval,
     normal_theory_interval,
@@ -300,6 +301,7 @@ def _replication(
             with np.errstate(over="ignore"):  # an overflowing sd is refused where it is read
                 for j in range(m):
                     _resample_moments(rows[j], plan.B, next(streams), means[j], sds[j] if calibrate else None)
+            _finite_moments(means[:m])  # the rows are finite, so an infinite mean is an overflow
         levels = [plan.alpha]
         if calibrate:
             beta = _beta_from_lambdas(_lambdas(rows, means[:m], sds[:m]), plan.alpha)

@@ -116,7 +116,7 @@ def _as_means(boot_means) -> np.ndarray:
 
 def _resample_set(sample, min_n: int, B: int, seed: SeedSpec, with_sds: bool = False):
     # one validated (n,) sample with the (B,) means of its one resample set
-    # from ``seed`` and, with ``with_sds``, their sds (else None)
+    # from ``seed``, none overflowing, and with ``with_sds`` their sds (else None)
     values = _as_block(sample, min_n)
     if values.ndim != 1:
         raise DomainError("sample must be one-dimensional")
@@ -125,7 +125,7 @@ def _resample_set(sample, min_n: int, B: int, seed: SeedSpec, with_sds: bool = F
     means, sds = np.empty(B), np.empty(B) if with_sds else None
     with np.errstate(over="ignore"):  # an overflowing sd is refused where it is read
         _resample_moments(values, B, seed.generator(), means, sds)
-    return values, means, sds
+    return values, _finite_moments(means), sds
 
 
 def _check_levels(alpha, block: np.ndarray) -> None:
@@ -169,7 +169,7 @@ class _BlockStats:
     def __init__(self, values: np.ndarray, boot_means: np.ndarray | None = None) -> None:
         self.values, self.boot_means = values, boot_means
 
-    @cached_property
+    @_moment
     def mean(self):
         return self.values.mean(axis=-1)
 

@@ -220,8 +220,8 @@ def test_benchmark_configs_load_and_plan(tmp_path):
         if call.mode in ("apply", "plot-data"):
             assert cli._input_path(eff, "apply" if call.mode == "apply" else "plot").is_file()
             continue
-        plan = cli._build_plan(eff, cli._build_model(eff.parser))
-        assert cli._workers(eff) == 1, (name, path.stem)
+        plan = cli._build_plan(eff, cli._build_model(eff.settings))
+        assert eff.settings["study"].get("workers", 1) == 1, (name, path.stem)
         if name == "calibrate_small_n":
             assert plan.skip_delta == 0.0
 

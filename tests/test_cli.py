@@ -504,6 +504,96 @@ def test_lognormal_draws_whose_squares_overflow(tmp_path, capsys, command, estim
         assert out.exists()
 
 
+@pytest.mark.parametrize("estimators", ["", "estimators = bootstrap_percentile\n"], ids=["all", "percentile"])
+def test_an_overflowing_first_moment_exits_2(tmp_path, capsys, estimators):
+    # normal draws near 1e308: five of them sum past the float range, so the
+    # sample mean and every resample mean are refused as an overflow
+    text = MEAN_INI.replace("seed = 414243", "seed = 1").replace("mu = 2.0", "mu = 1e308")
+    cfg = _write(tmp_path, "big.ini", text + estimators)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate-mean", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert not caught and "RuntimeWarning" not in err
+    assert "sample moments overflow" in err
+    assert not out.exists()
+
+
+_MODEL_FIELDS = {"normal": {"mu": "2.0", "sigma2": "1.0"}, "lognormal": {"mu_log": "0.0", "sigma2_log": "1.0"},
+                 "binomial": {"n_trials": "10", "p": "0.3"}}
+
+
+def _config_with(command: str, section: str, key: str, value: str, kind: str | None = None) -> str:
+    # a config the mode runs, with [section] key set to value; kind picks the model
+    reads = _READS[command]
+    kind = kind or reads.get("model", (None,))[0]
+    sections = {"run": {"schema": "1"}}
+    if "seed" in reads["run"]:
+        sections["run"]["seed"] = "1"
+    if kind is not None:
+        sections["model"] = {"kind": kind, **_MODEL_FIELDS[kind]}
+        sections["study"] = {"R": "3"} if kind == "binomial" else {"n": "5", "N": "10", "B": "10", "R": "3"}
+    for name in ("apply", "plot"):
+        if name in reads:
+            sections[name] = {"input": "perf.csv"}
+    sections.setdefault(section, {})[key] = value
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+                   for name, keys in sections.items())
+
+
+_TYPED_KEYS = [
+    (command, section, key, typed, None)
+    for command, reads in _READS.items() for section, keys in reads.items() if section != "model"
+    for key, typed in keys.items() if typed is not str
+] + [
+    (next(command for command, reads in _READS.items() if kind in reads.get("model", ())), "model", key, typed, kind)
+    for kind, fields in _FIELDS.items() for key, typed in fields.items()
+]
+
+
+@pytest.mark.parametrize("command, section, key, typed, kind", _TYPED_KEYS,
+                         ids=[f"{c}-{k}" if s != "model" else f"{m}-{k}" for c, s, k, _t, m in _TYPED_KEYS])
+def test_a_value_that_does_not_parse_as_its_type_exits_2(tmp_path, capsys, command, section, key, typed, kind):
+    # every value is parsed once, as its key's type, before any work
+    _write(tmp_path, "perf.csv", "estimator,n,coverage,length\na,10,0.95,0.5\n")
+    cfg = _write(tmp_path, "c.ini", _config_with(command, section, key, "x1", kind))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert f"[{section}] {key} must be a {typed.__name__}, got 'x1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, raw, flags, typed", [
+    ("seed", "abc", ["--seed", "5"], "int"),
+    ("rescaled", "maybe", ["--rescaled"], "bool"),
+    ("alpha", "oops", ["--alpha", "0.1"], "float"),
+], ids=["seed", "rescaled", "alpha"])
+def test_a_malformed_value_a_flag_overrides_exits_2(tmp_path, capsys, key, raw, flags, typed):
+    # the config is read whole: a flag replaces a value, and does not hide a
+    # bad one (these ran, and wrote outputs, while only flags were checked)
+    text = MEAN_INI.replace("seed = 414243\n", "" if key == "seed" else "seed = 414243\n")
+    cfg = _write(tmp_path, "c.ini", text.replace("schema = 1\n", f"schema = 1\n{key} = {raw}\n"))
+    out = tmp_path / "out"
+    assert main(["simulate-mean", "--config", str(cfg), "--out", str(out), *flags]) == EXIT_VALIDATION
+    assert f"[run] {key} must be a {typed}, got {raw!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section", [("apply", "apply"), ("plot-data", "plot")])
+@pytest.mark.parametrize("text, message", [
+    ("", "this mode needs a [{section}] section with an input path"),
+    ("\n[{section}]\n", "[{section}] input is required"),
+    ("\n[{section}]\ninput =\n", "[{section}] input is required"),
+], ids=["no-section", "no-input", "empty-input"])
+def test_an_absent_input_section_differs_from_an_absent_input(tmp_path, capsys, command, section, text, message):
+    cfg = _write(tmp_path, "a.ini", "[run]\nschema = 1\n" + text.format(section=section))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert message.format(section=section) in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "run_line, flags, key",
     [

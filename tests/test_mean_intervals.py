@@ -250,6 +250,24 @@ def test_a_moment_past_the_float_range_is_a_domain_error():
     assert math.isfinite(ci.lower) and math.isfinite(ci.upper)
 
 
+def test_an_overflowing_first_moment_is_named_an_overflow():
+    # five finite values near 1e308 sum past the float range: the sample
+    # mean and the resample means are refused as an overflow, unwarned;
+    # precomputed non-finite means keep their own message
+    sample = [1e308] * 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: normal_theory_interval(sample, 0.05),
+            lambda: bootstrap_percentile_interval(sample, 0.05, 10, SeedSpec(1)),
+            lambda: bca_interval(sample, 0.05, 10, SeedSpec(1)),
+        ):
+            with pytest.raises(DomainError, match="sample moments overflow"):
+                call()
+    with pytest.raises(DomainError, match="bootstrap means must be finite"):
+        percentile_from_boot_means([math.inf, 1.0, 2.0], 0.05)
+
+
 def test_boot_means_shapes_are_checked():
     with pytest.raises(DomainError, match=r"bootstrap means must have shape \(B,\) or \(m, B\)"):
         percentile_from_boot_means(np.zeros((2, 2, 5)), 0.05)
