@@ -6,103 +6,29 @@ bundles the index itself, four mean-interval and eleven
 binomial-proportion estimators, single-level bootstrap calibration, an
 exact binomial performance oracle, and a seeded, reproducible Monte Carlo
 harness with a CSV-reporting command line front end (``ciindex``).
+
+The root re-exports each module's ``__all__``; a public name is listed
+once, in its own module.  ``ciindex.cli`` is not re-exported.
 """
 
-from .calibration import CalibrationResult, calibrate_level
-from .errors import CiindexError, ConfigError, DomainError, InsufficientDataError
-from .harness import (
-    DESK_SCALE,
-    PAPER_SCALE,
-    CalibrationStudy,
-    IndexSummary,
-    SimulationPlan,
-    StudyResults,
-    calibrated_interval,
-    run_calibration_study,
-    run_mean_study,
-    run_proportion_study,
-    summarize_index,
-)
-from .index import (
-    IndexConfig,
-    IntervalPerformance,
-    compute_index,
-    compute_index_array,
-    index_range,
-    k_alpha,
-    limit_case,
-    rescale_index,
-)
-from .mean_intervals import (
-    MEAN_ESTIMATORS,
-    ConfidenceInterval,
-    bca_interval,
-    bootstrap_percentile_interval,
-    johnson_t_interval,
-    normal_theory_interval,
-)
-from .proportion_intervals import (
-    PROPORTION_ESTIMATORS,
-    BinomialObservation,
-    exact_performance,
-    proportion_interval,
-)
-from .sampling import (
-    DataModel,
-    SeedSpec,
-    binomial_model,
-    draw_sample,
-    lognormal_model,
-    lognormal_skewness,
-    normal_model,
-    true_parameter,
-)
+from . import calibration, errors, harness, index, mean_intervals, proportion_intervals, sampling
+from .calibration import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .index import *  # noqa: F403
+from .mean_intervals import *  # noqa: F403
+from .proportion_intervals import *  # noqa: F403
+from .sampling import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinomialObservation",
-    "CalibrationStudy",
-    "CalibrationResult",
-    "CiindexError",
-    "ConfidenceInterval",
-    "ConfigError",
-    "DESK_SCALE",
-    "DataModel",
-    "DomainError",
-    "IndexConfig",
-    "IndexSummary",
-    "InsufficientDataError",
-    "IntervalPerformance",
-    "MEAN_ESTIMATORS",
-    "PAPER_SCALE",
-    "PROPORTION_ESTIMATORS",
-    "SeedSpec",
-    "SimulationPlan",
-    "StudyResults",
+    *calibration.__all__,
+    *errors.__all__,
+    *harness.__all__,
+    *index.__all__,
+    *mean_intervals.__all__,
+    *proportion_intervals.__all__,
+    *sampling.__all__,
     "__version__",
-    "bca_interval",
-    "binomial_model",
-    "bootstrap_percentile_interval",
-    "calibrate_level",
-    "calibrated_interval",
-    "compute_index",
-    "compute_index_array",
-    "draw_sample",
-    "exact_performance",
-    "index_range",
-    "johnson_t_interval",
-    "k_alpha",
-    "limit_case",
-    "lognormal_model",
-    "lognormal_skewness",
-    "normal_model",
-    "normal_theory_interval",
-    "proportion_interval",
-    "rescale_index",
-    "run_calibration_study",
-    "run_mean_study",
-    "run_proportion_study",
-    "summarize_index",
-    "true_parameter",
 ]

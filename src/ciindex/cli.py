@@ -9,9 +9,9 @@ nominal line.
 
 Every run is driven by a small INI config (documented in the README,
 ``schema = 1``) plus optional flag overrides, read once: ``_READS`` lists
-each mode's settings and their types.  Any other setting, in the config
-or a flag, and any value that does not parse as its key's type, even one
-a flag overrides, is a validation error before any work.  All tabular
+each mode's settings and their parsers.  Any other setting, a value that
+fails its key's parser (even one a flag overrides) and a ``[DEFAULT]``
+section are validation errors before any work.  All tabular
 output is CSV at 6 decimal places, preceded by comment lines carrying the
 master seed (simulation modes) and a plan hash, so re-running a config
 byte-reproduces its outputs.  Index values in CSVs are computed from the
@@ -72,12 +72,30 @@ EXIT_RUNTIME = 3
 
 _SCALES = {"desk": DESK_SCALE, "paper": PAPER_SCALE}
 
-# Each mode's settings: its [section]s and their {key: type}, --seed and
+
+def _parser(kind: type, check=lambda value: None):
+    # a config value's parser, named for the type it returns (a bool is read
+    # as configparser reads one); check may refuse the value with a DomainError
+    def parse(raw: str):
+        value = configparser.ConfigParser.BOOLEAN_STATES[raw.lower()] if kind is bool else kind(raw)
+        check(value)
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+def _check_scale(scale: str) -> None:
+    if scale not in _SCALES:
+        raise DomainError(f"scale must be one of {sorted(_SCALES)}, got {scale!r}")
+
+
+# Each mode's settings: its [section]s and their {key: parser}, --seed and
 # --scale as [run] seed and scale, and under [model] the kinds it runs, each
 # reading a str kind and its sampling._FIELDS.  _settings rejects any other.
-_RUN = {"schema": str, "mode": str, "alpha": float, "loss": str, "rescaled": bool}
+_RUN = {"schema": str, "mode": str, "alpha": _parser(float, lambda alpha: IndexConfig(alpha=alpha)),
+        "loss": _parser(str, lambda loss: IndexConfig(loss=loss)), "rescaled": _parser(bool)}
 _SEEDED = {**_RUN, "seed": int}
-_SCALED = {**_SEEDED, "scale": str}
+_SCALED = {**_SEEDED, "scale": _parser(str, _check_scale)}
 _PROPORTION = {"n": int, "R": int, "estimators": str}
 _MEAN = {**_PROPORTION, "N": int, "B": int, "workers": int}
 _READS = {
@@ -123,9 +141,7 @@ def apply_index(rows: list[ExternalPerformanceRow], cfg: IndexConfig) -> list[Re
     """
     if not rows:
         raise ConfigError("apply_index needs at least one row")
-    indexes = compute_index_array(
-        [row.coverage for row in rows], [row.mean_length for row in rows], cfg
-    ).tolist()
+    indexes = compute_index_array([row.coverage for row in rows], [row.mean_length for row in rows], cfg).tolist()
     ranks: dict[int, int] = {}
     by_group: dict[tuple, list[int]] = {}
     for pos, row in enumerate(rows):
@@ -187,6 +203,8 @@ def _load_config(path: Path) -> configparser.ConfigParser:
         parser.read_file(io.StringIO(text, newline=None), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"config parse failure: {exc}") from exc
+    if parser.defaults():  # configparser would merge them into every section
+        raise ConfigError("a config [DEFAULT] section is not supported; set each key in its own section")
     if not parser.has_section("run"):
         raise ConfigError("config must have a [run] section")
     schema = parser.get("run", "schema", fallback=None)
@@ -196,10 +214,10 @@ def _load_config(path: Path) -> configparser.ConfigParser:
 
 
 def _settings(parser: configparser.ConfigParser, args: argparse.Namespace) -> dict[str, dict]:
-    """The config's ``{section: {key: value}}``, each value parsed as its key's type.
+    """The config's ``{section: {key: value}}``, each value read by its key's parser.
 
-    Every setting must be one the mode reads and every value must parse,
-    even one a flag overrides.  The flags are folded in as ``[run]`` keys.
+    Every setting must be one the mode reads and every value must pass its
+    parser, even one a flag overrides.  The flags then fold in as ``[run]`` keys.
     """
     mode = parser.get("run", "mode", fallback=None)
     if mode is not None and mode.strip() != args.command:
@@ -226,11 +244,13 @@ def _settings(parser: configparser.ConfigParser, args: argparse.Namespace) -> di
         for key, raw in parser[section].items():
             if key not in keys:
                 raise ConfigError(f"[{section}] {key} does not apply to the {args.command} mode")
-            typed = keys[key]
+            parse = keys[key]
             try:
-                values[key] = parser.BOOLEAN_STATES[raw.lower()] if typed is bool else typed(raw)
+                values[key] = parse(raw)
+            except DomainError as exc:  # a value of its type that its key's rule refuses
+                raise ConfigError(f"[{section}] {exc}") from exc
             except (KeyError, ValueError) as exc:
-                raise ConfigError(f"[{section}] {key} must be a {typed.__name__}, got {raw!r}") from exc
+                raise ConfigError(f"[{section}] {key} must be a {parse.__name__}, got {raw!r}") from exc
     run = settings["run"]  # _load_config has checked that [run] exists
     run.update((f, getattr(args, f)) for f in ("seed", "scale", "alpha", "loss") if getattr(args, f) is not None)
     if args.rescaled:  # the flag only turns the setting on
@@ -257,10 +277,8 @@ def _effective(args: argparse.Namespace) -> _Effective:
     config_path = Path(args.config)
     settings = _settings(_load_config(config_path), args)
     run = settings["run"]
-    # IndexConfig owns the alpha and loss rules; its DomainError exits 2
+    # the flags' alpha and loss meet IndexConfig's rules here; a DomainError exits 2
     index = IndexConfig(run.get("alpha", 0.05), run.get("loss", "absolute"), run.get("rescaled", False))
-    if run.get("scale", "desk") not in _SCALES:
-        raise ConfigError(f"scale must be one of {sorted(_SCALES)}, got {run['scale']!r}")
     return _Effective(mode=args.command, config_path=config_path, index=index, settings=settings)
 
 
@@ -449,27 +467,17 @@ def _read_performance_csv(text: str, name: str) -> tuple[list[str], list[Externa
     cov_at = header.index("coverage")
     len_at = header.index("length")
     if len_at != cov_at + 1 or cov_at < 1:
-        raise ConfigError(
-            f"{name}: expected columns estimator,<groups...>,coverage,length"
-        )
+        raise ConfigError(f"{name}: expected columns estimator,<groups...>,coverage,length")
     group_cols = header[1:cov_at]
 
     rows = []
     for ordinal, raw in enumerate(table[1:], start=1):
         if len(raw) != len(header):
-            raise ConfigError(
-                f"{name} row {ordinal}: expected {len(header)} cells, got {len(raw)}"
-            )
+            raise ConfigError(f"{name} row {ordinal}: expected {len(header)} cells, got {len(raw)}")
         cells = [cell.strip() for cell in raw]
         try:
-            rows.append(
-                ExternalPerformanceRow(
-                    estimator_label=cells[0],
-                    group_keys=tuple(zip(group_cols, cells[1 : cov_at])),
-                    coverage=float(cells[cov_at]),
-                    mean_length=float(cells[len_at]),
-                )
-            )
+            rows.append(ExternalPerformanceRow(cells[0], tuple(zip(group_cols, cells[1:cov_at])),
+                                               float(cells[cov_at]), float(cells[len_at])))
         except ValueError as exc:
             raise ConfigError(f"{name} row {ordinal}: {exc}") from exc
     if not rows:
@@ -487,8 +495,7 @@ def _score_input(eff: _Effective, section: str) -> tuple[list[str], list[ReportR
     text, data = _read_text(in_path, "input")
     group_cols, rows = _read_performance_csv(text, in_path.name)
     report = apply_index(rows, eff.index)
-    echo = dict(dataclasses.asdict(eff.index), mode=eff.mode,
-                input_sha256=hashlib.sha256(data).hexdigest())
+    echo = dict(dataclasses.asdict(eff.index), mode=eff.mode, input_sha256=hashlib.sha256(data).hexdigest())
     return group_cols, report, *_metadata(echo)
 
 
@@ -505,9 +512,7 @@ def _run_apply(eff: _Effective) -> _Outputs:
 
 
 def _group_label(group_keys: tuple[tuple[str, str], ...]) -> str:
-    if not group_keys:
-        return "all"
-    return ";".join(f"{key}={value}" for key, value in group_keys)
+    return ";".join(f"{key}={value}" for key, value in group_keys) or "all"
 
 
 def _run_plot_data(eff: _Effective) -> _Outputs:

@@ -1,5 +1,12 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CiindexError",
+    "ConfigError",
+    "DomainError",
+    "InsufficientDataError",
+]
+
 
 class CiindexError(Exception):
     """Base class for package errors."""

@@ -545,7 +545,7 @@ def _config_with(command: str, section: str, key: str, value: str, kind: str | N
 _TYPED_KEYS = [
     (command, section, key, typed, None)
     for command, reads in _READS.items() for section, keys in reads.items() if section != "model"
-    for key, typed in keys.items() if typed is not str
+    for key, typed in keys.items() if typed.__name__ != "str"  # a str key's parser only checks a rule
 ] + [
     (next(command for command, reads in _READS.items() if kind in reads.get("model", ())), "model", key, typed, kind)
     for kind, fields in _FIELDS.items() for key, typed in fields.items()
@@ -577,6 +577,38 @@ def test_a_malformed_value_a_flag_overrides_exits_2(tmp_path, capsys, key, raw, 
     out = tmp_path / "out"
     assert main(["simulate-mean", "--config", str(cfg), "--out", str(out), *flags]) == EXIT_VALIDATION
     assert f"[run] {key} must be a {typed}, got {raw!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw, flags, message", [
+    ("scale = bogus", ["--scale", "desk"], "[run] scale must be one of ['desk', 'paper'], got 'bogus'"),
+    ("loss = cubic", ["--loss", "squared"], "[run] loss must be one of ('absolute', 'squared'), got 'cubic'"),
+    ("alpha = 2", ["--alpha", "0.1"], "[run] alpha must lie strictly between 0 and 1, got 2.0"),
+    ("alpha = nan", ["--alpha", "0.1"], "[run] alpha must lie strictly between 0 and 1, got nan"),
+    ("scale = bogus", [], "[run] scale must be one of ['desk', 'paper'], got 'bogus'"),
+], ids=["scale", "loss", "alpha", "alpha-nan", "scale-no-flag"])
+def test_a_value_its_rule_refuses_exits_2_when_a_flag_overrides_it(tmp_path, capsys, raw, flags, message):
+    # each value is checked where it is parsed, before the flags fold in
+    # (these ran, and wrote outputs, while only the folded values were checked)
+    cfg = _write(tmp_path, "c.ini", MEAN_INI.replace("schema = 1\n", f"schema = 1\n{raw}\n"))
+    out = tmp_path / "out"
+    assert main(["simulate-mean", "--config", str(cfg), "--out", str(out), *flags]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text", [
+    ("apply", "[DEFAULT]\nalpha = 0.1\n\n[run]\nschema = 1\n\n[apply]\ninput = perf.csv\n"),
+    ("simulate-mean", "[DEFAULT]\nseed = 5\n\n" + MEAN_INI),
+], ids=["apply", "simulate-mean"])
+def test_a_default_section_exits_2(tmp_path, capsys, command, text):
+    # configparser would merge [DEFAULT] into every section, and an error
+    # would then blame a section the file does not set the key in
+    _write(tmp_path, "perf.csv", "estimator,n,coverage,length\na,10,0.95,0.5\n")
+    cfg = _write(tmp_path, "c.ini", text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert "[DEFAULT]" in capsys.readouterr().err
     assert not out.exists()
 
 

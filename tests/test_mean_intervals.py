@@ -94,7 +94,7 @@ def test_johnson_shifts_right_for_positive_skew():
     assert adjusted.length > plain.length  # t quantile exceeds z
 
 
-def test_sample_skewness_conventions():
+def test_block_skew_is_each_rows_moment_ratio():
     assert _skewness(FIVE) == 0.0
     assert _skewness([2.0, 2.0, 2.0]) == 0.0  # zero variance convention
     data = np.array(SKEWED)
@@ -108,7 +108,7 @@ def test_sample_skewness_conventions():
     assert block.tolist() == [_skewness(FIVE), _skewness(SKEWED)]
 
 
-def test_bootstrap_mean_draws_deterministic_block():
+def test_resample_set_means_match_plain_numpy():
     # the one-sample entry points' resample means: one (B, n) index block
     # from the seed's stream, with the bits of plain numpy's mean(axis=1)
     sample = np.array(FIVE)

@@ -143,7 +143,7 @@ def _moments(sample, B, seed):
     return means, sds
 
 
-def test_bootstrap_resample_draws_from_sample():
+def test_resample_moments_depend_on_sample_b_and_stream_alone():
     # the one resample draw is a function of (sample, B, stream) alone
     sample = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
     seed = SeedSpec(5, (2, 0, 0))
@@ -172,7 +172,7 @@ def test_bootstrap_resample_draws_from_sample():
     ],
     ids=["empty", "2-d", "0-d", "B-0", "B-1", "B-negative", "B-float"],
 )
-def test_bootstrap_resamples_rejects_bad_input(values, B, error):
+def test_one_sample_entry_points_share_one_input_rule(values, B, error):
     # every entry point that draws one sample's resample set applies one
     # input rule before it opens the stream
     seed = SeedSpec(5, (2, 0, 0))
