@@ -199,14 +199,46 @@ def _resample_moments(values: np.ndarray, B: int, rng: np.random.Generator, mean
     # std's second pass for the mean, centring and squaring the (B, n) set in place
     n = values.size
     boot = values[rng.integers(0, n, size=(B, n))]
-    np.add.reduce(boot, axis=1, out=means)
+    # a short row costs more to start than to add: from about 48n
+    # resamples up, adding whole columns is cheaper, and 64n keeps a margin
+    by_columns = B >= 64 * n and 2 <= n < 16
+    if by_columns:
+        _column_sum(boot, means)
+    else:
+        np.add.reduce(boot, axis=1, out=means)
     means /= n
     if sds is not None:
         np.subtract(boot, means[:, None], out=boot)
         np.square(boot, out=boot)
-        np.add.reduce(boot, axis=1, out=sds)
+        if by_columns:
+            _column_sum(boot, sds)
+        else:
+            np.add.reduce(boot, axis=1, out=sds)
         sds /= n - 1
         np.sqrt(sds, out=sds)
+
+
+def _column_sum(boot: np.ndarray, out: np.ndarray) -> None:
+    # np.add.reduce(boot, axis=1, out=out) bit for bit for a (B, n) boot
+    # with 2 <= n < 16, adding whole columns in the order of numpy's
+    # pairwise_sum: sequentially below 8 columns; from 8, the tree
+    # ((c0+c1)+(c2+c3)) + ((c4+c5)+(c6+c7)) and then the rest in turn.
+    # The reduction starts from its identity 0.0, so a row of -0.0 sums
+    # to +0.0; adding it last gives that and changes no other value.
+    cols = boot.T
+    np.add(cols[0], cols[1], out=out)
+    if len(cols) < 8:
+        rest = cols[2:]
+    else:
+        pair = cols[2] + cols[3]
+        out += pair
+        np.add(cols[4], cols[5], out=pair)
+        pair += cols[6] + cols[7]
+        out += pair
+        rest = cols[8:]
+    for col in rest:
+        out += col
+    out += 0.0
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)

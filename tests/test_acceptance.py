@@ -29,8 +29,10 @@ and one of them, criterion 7, still fails:
   calibration.py, lambda_j = 1 - Phi(|t*_j|), is one-tailed while the
   intervals are two-sided, so beta converges to about 0.009 at n = 10
   and the run lands near coverage 0.97 and length 1.65.  A two-tailed
-  lambda would give about 0.017 (coverage 0.958), still short of the
-  printed row.  Which rule the paper intends is an open question; the
+  normal lambda, 2 * (1 - Phi(|t*_j|)), would give about 0.017
+  (coverage 0.958), still short of the printed row; that is not the
+  two-tailed Student t rule, 2 * (1 - F_{t,n-1}(|t*_j|)), which gives
+  about 0.039.  Which rule the paper intends is an open question; the
   uncalibrated and skip-rule clauses pass.
 
 Two further open questions about the calibration reference table, on

@@ -656,11 +656,21 @@ EDGE_PLAN = SimulationPlan(
     master_seed=2**64 - 1, skip_delta=0.0,
 )
 
+# the paper's n = 10 at B = 1000 sums its resample sets by columns, which
+# the drawn plans (B <= 50) never reach; 37 samples cannot cover exactly
+# 0.95, so no estimator is skipped
+COLUMN_PLAN = SimulationPlan(
+    model=normal_model(2.0, 1.0), n=10, N=37, B=1000, R=2, alpha=0.05,
+    estimators=MEAN_ESTIMATORS, master_seed=20260815, skip_delta=0.0,
+)
+
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=50)
 @given(_reference_plans())
 @example((EDGE_PLAN, True))
 @example((EDGE_PLAN, False))
+@example((COLUMN_PLAN, True))
+@example((COLUMN_PLAN, False))
 def test_engine_equals_the_reference_loop(case):
     plan, calibrate = case
     reps = [_reference_replication(plan, calibrate, r) for r in range(plan.R)]

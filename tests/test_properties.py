@@ -214,10 +214,13 @@ def _exact_sweeps(draw):
 # pmf reaches and every later p reuses them; cold or warm, each result must
 # be the running totals of the scalar formulas over that p's pmf.  At n = 2
 # and alpha = 1e-6 the arcsine interval inverts at x = 1 and 2, so p = 0.3
-# raises while p = 1e-310, whose pmf is zero there, does not
+# raises while p = 1e-310, whose pmf is zero there, does not.  The smallest
+# normal double is pinned, since the derandomized draws reach it only when
+# some other modules are loaded
 @PROPERTY
 @given(_exact_sweeps())
 @example((2, 1e-6, [("arcsin", 1e-310), ("arcsin", 0.3), ("arcsin", 1e-310)]))
+@example((10, 0.05, [(kind, 2.2250738585072014e-308) for kind in PROPORTION_ESTIMATORS]))
 def test_exact_performance_equals_the_tally_of_scalar_formulas(case):
     n, alpha, calls = case
     _endpoints.cache_clear()

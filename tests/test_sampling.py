@@ -22,7 +22,8 @@ from ciindex import (
     normal_model,
     true_parameter,
 )
-from ciindex.sampling import _resample_moments, _stream_generators, _stream_keys
+from ciindex import sampling
+from ciindex.sampling import _column_sum, _resample_moments, _stream_generators, _stream_keys
 
 # 1 percent critical values keep distribution checks stable across platforms
 KS_LEVEL = 0.01
@@ -157,6 +158,38 @@ def test_resample_moments_depend_on_sample_b_and_stream_alone():
     _resample_moments(sample, 7, seed.generator(), alone)
     assert alone.tobytes() == means.tobytes()
     assert _moments(sample, 7, SeedSpec(5, (2, 0, 1)))[0].tobytes() != means.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_column_sums_equal_the_row_reduction(monkeypatch, n):
+    # from B = 64n resamples up, at 2 <= n < 16, both row sums add whole
+    # columns; either way the bits are numpy's, on normal, tied, all -0.0
+    # and overflowing rows
+    rng = np.random.default_rng(n)
+    rows = {
+        "normal": rng.normal(3.0, 2.0, n),
+        "tied": rng.integers(-3, 4, n).astype(float),
+        "negative zero": np.full(n, -0.0),
+        "overflowing": rng.choice([1e308, -1e308], n),
+    }
+    calls = []
+    monkeypatch.setattr(sampling, "_column_sum", lambda *args: calls.append(_column_sum(*args)))
+    for B in (64 * n - 1, 64 * n, 1000):
+        by_columns = 2 <= n < 16 and B >= 64 * n
+        for kind, values in rows.items():
+            seed = SeedSpec(n, (2, B, 0))
+            boot = values[seed.generator().integers(0, n, size=(B, n))]
+            calls.clear()
+            with np.errstate(over="ignore", invalid="ignore"):
+                if 2 <= n < 16:
+                    got = np.empty(B)
+                    _column_sum(boot, got)
+                    assert got.tobytes() == np.add.reduce(boot, axis=1).tobytes(), (B, kind)
+                means, sds = _moments(values, B, seed)
+                assert len(calls) == 2 * by_columns, (B, kind)
+                assert means.tobytes() == boot.mean(axis=1).tobytes(), (B, kind)
+                if n >= 2:
+                    assert sds.tobytes() == boot.std(axis=1, ddof=1).tobytes(), (B, kind)
 
 
 @pytest.mark.parametrize(
